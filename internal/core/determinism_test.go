@@ -7,6 +7,7 @@ import (
 
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/trace"
 )
 
 // unboundedMob wraps a mobility without exposing a speed bound, exercising
@@ -22,8 +23,14 @@ func (u unboundedMob) Pos(at time.Duration) geo.Point { return u.inner.Pos(at) }
 // some device's energy ledger, RRC counters or delivery stats would drift.
 func mixedCrowd(t *testing.T, seed int64) *Simulation {
 	t.Helper()
+	return mixedCrowdTraced(t, seed, nil)
+}
+
+// mixedCrowdTraced is mixedCrowd with its events sent to tr.
+func mixedCrowdTraced(t *testing.T, seed int64, tr trace.Tracer) *Simulation {
+	t.Helper()
 	profile := hbmsg.StandardHeartbeat()
-	sim, err := New(Options{Seed: seed, Duration: 2*profile.Period + 30*time.Second})
+	sim, err := New(Options{Seed: seed, Duration: 2*profile.Period + 30*time.Second, Tracer: tr})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

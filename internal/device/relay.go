@@ -69,7 +69,8 @@ type RelayConfig struct {
 	Policy sched.Policy
 	// StartOffset delays the first period start.
 	StartOffset time.Duration
-	// Tracer receives structured events when non-nil.
+	// Tracer receives structured events when non-nil. Only NewRelay uses
+	// it; a substrate passed to NewRelayOn records events itself.
 	Tracer trace.Tracer
 }
 
@@ -98,26 +99,42 @@ type ackKey struct {
 // Relay is a smartphone volunteering as a heartbeat collector.
 type Relay struct {
 	cfg    RelayConfig
-	sched  *simtime.Scheduler
-	node   *d2d.Node
-	modem  *cellular.Modem
+	sub    RelaySubstrate
 	policy sched.Policy
 
 	seq         uint64
 	ownHB       hbmsg.Heartbeat
-	sources     map[ackKey]*d2d.Link
-	flushTimer  *simtime.Timer
-	periodTimer *simtime.Timer
+	sources     map[ackKey]any // collected heartbeat → origin for its ack
+	flushTimer  simtime.Handle
+	periodTimer simtime.Handle
 	stopped     bool
+	// flushFn is the flush timer's callback, bound once: the relay re-arms
+	// it on every collected heartbeat.
+	flushFn func()
 
 	stats RelayStats
 }
 
-// NewRelay assembles a relay from its D2D node and cellular modem. Start
-// must be called to begin operating.
+// NewRelay assembles a relay on the sequential kernel from its D2D node
+// and cellular modem. Start must be called to begin operating.
 func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg RelayConfig) (*Relay, error) {
 	if s == nil || node == nil || modem == nil {
 		return nil, errors.New("device: nil scheduler, node or modem")
+	}
+	r, err := NewRelayOn(&medium{Scheduler: s, node: node, modem: modem, tracer: cfg.Tracer}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	node.OnReceive(func(hb hbmsg.Heartbeat, link *d2d.Link) { r.Receive(hb, link) })
+	return r, nil
+}
+
+// NewRelayOn assembles a relay on a kernel-supplied substrate, which must
+// deliver forwarded heartbeats through Receive. Start must be called to
+// begin operating.
+func NewRelayOn(sub RelaySubstrate, cfg RelayConfig) (*Relay, error) {
+	if sub == nil {
+		return nil, errors.New("device: nil substrate")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -132,13 +149,14 @@ func NewRelay(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg R
 	}
 	r := &Relay{
 		cfg:     cfg,
-		sched:   s,
-		node:    node,
-		modem:   modem,
+		sub:     sub,
 		policy:  policy,
-		sources: make(map[ackKey]*d2d.Link),
+		sources: make(map[ackKey]any),
 	}
-	node.OnReceive(r.onReceive)
+	r.flushFn = func() {
+		r.flushTimer = nil
+		r.flush()
+	}
 	return r, nil
 }
 
@@ -153,7 +171,7 @@ func (r *Relay) Policy() sched.Policy { return r.policy }
 
 // Start schedules the first heartbeat period.
 func (r *Relay) Start() error {
-	t, err := r.sched.After(r.cfg.StartOffset, r.startPeriod)
+	t, err := r.sub.Arm(r.sub.Now()+r.cfg.StartOffset, r.startPeriod)
 	if err != nil {
 		return fmt.Errorf("device: start relay %s: %w", r.cfg.ID, err)
 	}
@@ -168,14 +186,11 @@ func (r *Relay) Start() error {
 func (r *Relay) Stop() {
 	r.stopped = true
 	r.emit(trace.Event{Kind: trace.KindStop})
-	r.sched.Stop(r.flushTimer)
+	r.sub.Disarm(r.flushTimer)
 	r.flushTimer = nil
-	r.sched.Stop(r.periodTimer)
+	r.sub.Disarm(r.periodTimer)
 	r.periodTimer = nil
-	r.node.SetAccepting(false)
-	for _, l := range r.node.Links() {
-		l.Close()
-	}
+	r.sub.Leave()
 }
 
 // startPeriod opens a new collection window, generates the relay's own
@@ -189,7 +204,7 @@ func (r *Relay) startPeriod() {
 	// timer land on the same instant, the period timer fires first and
 	// must not discard the pending batch.
 	r.flush()
-	now := r.sched.Now()
+	now := r.sub.Now()
 	r.seq++
 	r.ownHB = r.cfg.Profile.Heartbeat(r.cfg.ID, r.seq, now)
 	r.stats.OwnHeartbeats++
@@ -197,7 +212,7 @@ func (r *Relay) startPeriod() {
 	r.advertise()
 
 	var err error
-	r.periodTimer, err = r.sched.After(r.cfg.Profile.Period, r.startPeriod)
+	r.periodTimer, err = r.sub.Arm(now+r.cfg.Profile.Period, r.startPeriod)
 	if err != nil {
 		r.stats.SendErrors++
 	}
@@ -211,16 +226,16 @@ func (r *Relay) advertise() {
 	if r.policy.Accepting() {
 		free = r.cfg.Capacity - r.policy.Pending()
 	}
-	r.node.SetAccepting(!r.stopped)
-	r.node.Advertise(free, d2d.IntentForLoad(r.cfg.Capacity-free, r.cfg.Capacity))
+	r.sub.Advertise(free, d2d.IntentForLoad(r.cfg.Capacity-free, r.cfg.Capacity))
 }
 
-// onReceive handles one forwarded heartbeat from a UE.
-func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
+// Receive handles one heartbeat forwarded by a UE. origin is the
+// substrate's token for where it came from; the feedback goes back there.
+func (r *Relay) Receive(hb hbmsg.Heartbeat, origin any) {
 	if r.stopped {
 		return
 	}
-	now := r.sched.Now()
+	now := r.sub.Now()
 	flushNow, err := r.policy.Collect(hb, now)
 	switch {
 	case errors.Is(err, sched.ErrClosed):
@@ -239,7 +254,7 @@ func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
 	}
 	r.stats.Collected++
 	r.emit(trace.Event{Kind: trace.KindCollect, App: hb.App, Seq: hb.Seq, Peer: string(hb.Src)})
-	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = link
+	r.sources[ackKey{src: hb.Src, seq: hb.Seq}] = origin
 	r.advertise()
 	if flushNow {
 		r.flush()
@@ -250,13 +265,13 @@ func (r *Relay) onReceive(hb hbmsg.Heartbeat, link *d2d.Link) {
 
 // rearmFlush (re)schedules the flush at the policy's current deadline.
 func (r *Relay) rearmFlush() {
-	r.sched.Stop(r.flushTimer)
+	r.sub.Disarm(r.flushTimer)
 	r.flushTimer = nil
 	at, ok := r.policy.Deadline()
 	if !ok {
 		return
 	}
-	t, err := r.sched.At(at, r.flush)
+	t, err := r.sub.Arm(at, r.flushFn)
 	if err != nil {
 		// Deadline already passed (clock raced the arm): flush now.
 		r.flush()
@@ -271,12 +286,12 @@ func (r *Relay) flush() {
 	if r.stopped {
 		return
 	}
-	// The handle must be dropped as soon as it is cancelled (or has fired,
-	// when flush runs as the timer's own callback): the scheduler recycles
-	// dead timers, so a retained handle would alias the next event armed.
-	r.sched.Stop(r.flushTimer)
+	// The handle must be dropped as soon as it is cancelled: the scheduler
+	// recycles dead timers, so a retained handle would alias the next event
+	// armed.
+	r.sub.Disarm(r.flushTimer)
 	r.flushTimer = nil
-	now := r.sched.Now()
+	now := r.sub.Now()
 	batch := r.policy.Flush(now)
 	full := make([]hbmsg.Heartbeat, 0, len(batch)+1)
 	full = append(full, batch...)
@@ -287,7 +302,7 @@ func (r *Relay) flush() {
 	if len(full) == 0 {
 		return
 	}
-	if err := r.modem.Send(full, energy.PhaseCellular); err != nil {
+	if err := r.sub.SendCellular(full, energy.PhaseCellular); err != nil {
 		r.stats.SendErrors++
 		return
 	}
@@ -315,9 +330,9 @@ func (r *Relay) flush() {
 
 // emit stamps and forwards one trace event.
 func (r *Relay) emit(ev trace.Event) {
-	ev.AtMs = trace.At(r.sched.Now())
+	ev.AtMs = trace.At(r.sub.Now())
 	ev.Device = string(r.cfg.ID)
-	trace.Emit(r.cfg.Tracer, ev)
+	r.sub.Emit(ev)
 }
 
 // ackBatch notifies each UE whose heartbeats were delivered. Acks are sent
@@ -325,12 +340,12 @@ func (r *Relay) emit(ev trace.Event) {
 func (r *Relay) ackBatch(batch []hbmsg.Heartbeat) {
 	for _, hb := range batch {
 		key := ackKey{src: hb.Src, seq: hb.Seq}
-		link, ok := r.sources[key]
+		origin, ok := r.sources[key]
 		delete(r.sources, key)
-		if !ok || link == nil {
+		if !ok {
 			continue
 		}
-		if err := link.SendAck(r.node, []d2d.AckRef{{Src: hb.Src, Seq: hb.Seq}}); err != nil {
+		if err := r.sub.Ack(origin, d2d.AckRef{Src: hb.Src, Seq: hb.Seq}); err != nil {
 			r.stats.AckFailures++
 			continue
 		}

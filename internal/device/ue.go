@@ -72,7 +72,8 @@ type UEConfig struct {
 	// DisableD2D forces the original-system behaviour (every heartbeat
 	// direct over cellular); used for baselines.
 	DisableD2D bool
-	// Tracer receives structured events when non-nil.
+	// Tracer receives structured events when non-nil. Only NewUE uses it;
+	// a substrate passed to NewUEOn records events itself.
 	Tracer trace.Tracer
 }
 
@@ -106,16 +107,16 @@ func (c UEConfig) validate() error {
 
 // UE is a smartphone forwarding its heartbeats through nearby relays.
 type UE struct {
-	cfg   UEConfig
-	sched *simtime.Scheduler
-	node  *d2d.Node
-	modem *cellular.Modem
+	cfg UEConfig
+	sub UESubstrate
 
-	seq      uint64
-	link     *d2d.Link
-	pending  map[uint64]*pendingSend
-	hbTimers []*simtime.Timer
-	stopped  bool
+	seq     uint64
+	pending map[uint64]*pendingSend
+	loops   []hbLoop // one heartbeat loop per app profile
+	stopped bool
+	// one is the single-heartbeat batch of a direct send, reused so the
+	// send allocates nothing.
+	one [1]hbmsg.Heartbeat
 
 	// Scan backoff: discovery is itself expensive (Table III) for the UE
 	// and for every responding relay, so after a failed match the UE
@@ -129,30 +130,52 @@ type UE struct {
 // maxScanBackoff caps the discovery backoff at 8 heartbeat periods.
 const maxScanBackoff = 8
 
+// hbLoop is one app profile's heartbeat loop: the armed timer of its next
+// heartbeat and the callback it re-arms every period.
+type hbLoop struct {
+	timer simtime.Handle
+	fire  func()
+}
+
 // pendingSend tracks a forwarded heartbeat awaiting feedback.
 type pendingSend struct {
 	hb    hbmsg.Heartbeat
-	timer *simtime.Timer
+	timer simtime.Handle
 }
 
-// NewUE assembles a UE from its D2D node and cellular modem. Start must be
-// called to begin the heartbeat loop.
+// NewUE assembles a UE on the sequential kernel from its D2D node and
+// cellular modem. Start must be called to begin the heartbeat loop.
 func NewUE(s *simtime.Scheduler, node *d2d.Node, modem *cellular.Modem, cfg UEConfig) (*UE, error) {
 	if s == nil || node == nil || modem == nil {
 		return nil, errors.New("device: nil scheduler, node or modem")
 	}
+	u, err := NewUEOn(&medium{Scheduler: s, node: node, modem: modem, tracer: cfg.Tracer}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	node.OnAck(func(refs []d2d.AckRef, _ *d2d.Link) {
+		for _, ref := range refs {
+			u.Feedback(ref)
+		}
+	})
+	return u, nil
+}
+
+// NewUEOn assembles a UE on a kernel-supplied substrate, which must deliver
+// relay acknowledgements through Feedback. Start must be called to begin
+// the heartbeat loop.
+func NewUEOn(sub UESubstrate, cfg UEConfig) (*UE, error) {
+	if sub == nil {
+		return nil, errors.New("device: nil substrate")
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	u := &UE{
+	return &UE{
 		cfg:     cfg,
-		sched:   s,
-		node:    node,
-		modem:   modem,
+		sub:     sub,
 		pending: make(map[uint64]*pendingSend),
-	}
-	node.OnAck(u.onAck)
-	return u, nil
+	}, nil
 }
 
 // ID returns the device id.
@@ -162,24 +185,36 @@ func (u *UE) ID() hbmsg.DeviceID { return u.cfg.ID }
 func (u *UE) Stats() UEStats { return u.stats }
 
 // Connected reports whether the UE currently holds an open relay link.
-func (u *UE) Connected() bool { return u.link != nil && u.link.Open() }
+func (u *UE) Connected() bool {
+	_, ok := u.sub.Linked()
+	return ok
+}
 
 // Start schedules the first heartbeat of every app profile. Extra profiles
 // are staggered a few seconds after the primary so their first heartbeats
 // do not collide.
 func (u *UE) Start() error {
-	profiles := append([]hbmsg.AppProfile{u.cfg.Profile}, u.cfg.ExtraProfiles...)
-	u.hbTimers = make([]*simtime.Timer, len(profiles))
-	for i, p := range profiles {
-		i, p := i, p
+	u.loops = make([]hbLoop, 1+len(u.cfg.ExtraProfiles))
+	now := u.sub.Now()
+	for i := range u.loops {
+		l := &u.loops[i]
+		l.fire = func() { u.heartbeat(i) }
 		offset := u.cfg.StartOffset + time.Duration(i)*3*time.Second
-		t, err := u.sched.After(offset, func() { u.heartbeat(i, p) })
+		t, err := u.sub.Arm(now+offset, l.fire)
 		if err != nil {
 			return fmt.Errorf("device: start ue %s: %w", u.cfg.ID, err)
 		}
-		u.hbTimers[i] = t
+		l.timer = t
 	}
 	return nil
+}
+
+// profile returns the app profile of heartbeat loop i.
+func (u *UE) profile(i int) hbmsg.AppProfile {
+	if i == 0 {
+		return u.cfg.Profile
+	}
+	return u.cfg.ExtraProfiles[i-1]
 }
 
 // Stop halts the heartbeat loops and cancels pending feedback timers. The
@@ -187,18 +222,15 @@ func (u *UE) Start() error {
 // timers, so keeping them would alias events armed by other devices.
 func (u *UE) Stop() {
 	u.stopped = true
-	for i, t := range u.hbTimers {
-		u.sched.Stop(t)
-		u.hbTimers[i] = nil
+	for i := range u.loops {
+		u.sub.Disarm(u.loops[i].timer)
+		u.loops[i].timer = nil
 	}
 	for seq, p := range u.pending {
-		u.sched.Stop(p.timer)
+		u.sub.Disarm(p.timer)
 		delete(u.pending, seq)
 	}
-	if u.link != nil {
-		u.link.Close()
-		u.link = nil
-	}
+	u.sub.Unlink()
 }
 
 // feedbackTimeout returns the configured or default ack wait for a
@@ -210,20 +242,21 @@ func (u *UE) feedbackTimeout(expiry time.Duration) time.Duration {
 	return expiry + FeedbackGrace
 }
 
-// heartbeat generates and dispatches one heartbeat for profile slot i,
-// then schedules the next.
-func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
+// heartbeat generates and dispatches one heartbeat of loop i, then
+// schedules the next.
+func (u *UE) heartbeat(i int) {
 	if u.stopped {
 		return
 	}
-	now := u.sched.Now()
+	profile := u.profile(i)
+	now := u.sub.Now()
 	u.seq++
 	hb := profile.Heartbeat(u.cfg.ID, u.seq, now)
 	u.stats.Generated++
 	u.emit(trace.Event{Kind: trace.KindGenerated, App: hb.App, Seq: hb.Seq})
 
 	var err error
-	u.hbTimers[i], err = u.sched.After(profile.Period, func() { u.heartbeat(i, profile) })
+	u.loops[i].timer, err = u.sub.Arm(now+profile.Period, u.loops[i].fire)
 	if err != nil {
 		u.stats.SendErrors++
 	}
@@ -239,9 +272,8 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	// 25 % hysteresis margin keeps boundary cases (matched on a noisy
 	// RSSI estimate just inside the bound) from flapping.
 	if u.Connected() && u.cfg.Match.Prejudgment &&
-		u.link.Distance() > u.cfg.Match.MaxDistance*1.25 {
-		u.link.Close()
-		u.link = nil
+		u.sub.LinkDistance() > u.cfg.Match.MaxDistance*1.25 {
+		u.sub.Unlink()
 	}
 	if !u.Connected() {
 		if u.scanSkips > 0 {
@@ -258,22 +290,19 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	// The group owner's beacons advertise its remaining collection
 	// capacity; a closed or full window means the forward would be
 	// rejected and the heartbeat would expire waiting for feedback.
-	if free, _ := u.link.Peer(u.node).Advertised(); free <= 0 {
+	if u.sub.LinkFree() <= 0 {
+		busy, _ := u.sub.Linked()
 		u.stats.RelayBusy++
-		u.emit(trace.Event{Kind: trace.KindRelayBusy, App: hb.App, Seq: hb.Seq,
-			Peer: string(u.link.Peer(u.node).ID())})
+		u.emit(trace.Event{Kind: trace.KindRelayBusy, App: hb.App, Seq: hb.Seq, Peer: string(busy)})
 		// Hand over to another relay if the scan budget allows — Select
 		// skips zero-capacity relays, so a successful match is a fresh
 		// collector. The old link stays open so feedback for messages it
 		// already collected still arrives.
 		switched := false
 		if u.scanSkips == 0 {
-			prev := u.link
 			u.tryMatch()
-			if u.Connected() && u.link != prev {
-				if free, _ := u.link.Peer(u.node).Advertised(); free > 0 {
-					switched = true
-				}
+			if relay, ok := u.sub.Linked(); ok && relay != busy && u.sub.LinkFree() > 0 {
+				switched = true
 			}
 		}
 		if !switched {
@@ -285,12 +314,12 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 	// fills the batch, the relay flushes and acknowledges synchronously,
 	// and the ack must find the pending entry.
 	u.armFeedback(hb)
-	if err := u.link.Send(u.node, hb); err != nil {
+	if err := u.sub.Forward(hb); err != nil {
 		u.cancelFeedback(hb.Seq)
 		u.stats.D2DSendFailures++
 		u.emit(trace.Event{Kind: trace.KindD2DFail, App: hb.App, Seq: hb.Seq, Reason: err.Error()})
 		if errors.Is(err, d2d.ErrOutOfRange) || errors.Is(err, d2d.ErrLinkClosed) {
-			u.link = nil
+			u.sub.Unlink()
 		}
 		u.sendDirect(hb)
 		return
@@ -301,28 +330,25 @@ func (u *UE) heartbeat(i int, profile hbmsg.AppProfile) {
 
 // emit stamps and forwards one trace event.
 func (u *UE) emit(ev trace.Event) {
-	ev.AtMs = trace.At(u.sched.Now())
+	ev.AtMs = trace.At(u.sub.Now())
 	ev.Device = string(u.cfg.ID)
-	trace.Emit(u.cfg.Tracer, ev)
+	u.sub.Emit(ev)
 }
 
 // tryMatch scans for relays and connects to the best candidate, doubling
 // the scan backoff on failure.
 func (u *UE) tryMatch() {
 	u.stats.Scans++
-	peers := u.node.Scan()
-	sel, ok := matching.Select(peers, u.cfg.Match)
+	sel, ok := matching.Select(u.sub.Scan(), u.cfg.Match)
 	if !ok {
 		u.matchFailed()
 		return
 	}
-	link, err := u.node.Connect(sel.ID)
-	if err != nil {
+	if err := u.sub.Connect(sel.ID); err != nil {
 		u.matchFailed()
 		return
 	}
 	u.stats.Matches++
-	u.link = link
 	u.backoff = 0
 	u.emit(trace.Event{Kind: trace.KindMatch, Peer: string(sel.ID)})
 }
@@ -343,7 +369,8 @@ func (u *UE) matchFailed() {
 // sendDirect transmits a heartbeat straight over cellular (the original
 // system's path).
 func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
-	if err := u.modem.Send([]hbmsg.Heartbeat{hb}, energy.PhaseCellular); err != nil {
+	u.one[0] = hb
+	if err := u.sub.SendCellular(u.one[:], energy.PhaseCellular); err != nil {
 		u.stats.SendErrors++
 		return
 	}
@@ -354,7 +381,7 @@ func (u *UE) sendDirect(hb hbmsg.Heartbeat) {
 // armFeedback starts the ack timer for a forwarded heartbeat.
 func (u *UE) armFeedback(hb hbmsg.Heartbeat) {
 	seq := hb.Seq
-	t, err := u.sched.After(u.feedbackTimeout(hb.Expiry), func() { u.onFeedbackTimeout(seq) })
+	t, err := u.sub.Arm(u.sub.Now()+u.feedbackTimeout(hb.Expiry), func() { u.onFeedbackTimeout(seq) })
 	if err != nil {
 		u.stats.SendErrors++
 		return
@@ -368,7 +395,7 @@ func (u *UE) cancelFeedback(seq uint64) {
 	if !ok {
 		return
 	}
-	u.sched.Stop(p.timer)
+	u.sub.Disarm(p.timer)
 	delete(u.pending, seq)
 }
 
@@ -384,30 +411,26 @@ func (u *UE) onFeedbackTimeout(seq uint64) {
 	delete(u.pending, seq)
 	u.stats.FallbackResends++
 	u.emit(trace.Event{Kind: trace.KindFallback, App: p.hb.App, Seq: seq})
-	if err := u.modem.Send([]hbmsg.Heartbeat{p.hb}, energy.PhaseFallback); err != nil {
+	u.one[0] = p.hb
+	if err := u.sub.SendCellular(u.one[:], energy.PhaseFallback); err != nil {
 		u.stats.SendErrors++
 	}
 	// The relay evidently failed us; drop the link so the next heartbeat
 	// rematches.
-	if u.link != nil {
-		u.link.Close()
-		u.link = nil
-	}
+	u.sub.Unlink()
 }
 
-// onAck handles feedback acknowledgements from the relay.
-func (u *UE) onAck(refs []d2d.AckRef, _ *d2d.Link) {
-	for _, ref := range refs {
-		if ref.Src != u.cfg.ID {
-			continue
-		}
-		p, ok := u.pending[ref.Seq]
-		if !ok {
-			continue
-		}
-		u.sched.Stop(p.timer)
-		delete(u.pending, ref.Seq)
-		u.stats.AcksReceived++
-		u.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: ref.Seq})
+// Feedback handles one acknowledgement from a relay.
+func (u *UE) Feedback(ref d2d.AckRef) {
+	if ref.Src != u.cfg.ID {
+		return
 	}
+	p, ok := u.pending[ref.Seq]
+	if !ok {
+		return
+	}
+	u.sub.Disarm(p.timer)
+	delete(u.pending, ref.Seq)
+	u.stats.AcksReceived++
+	u.emit(trace.Event{Kind: trace.KindAck, App: p.hb.App, Seq: ref.Seq})
 }

@@ -209,10 +209,7 @@ func RunCity(cfg CityConfig) (*core.Report, CityStats, error) {
 	if err != nil {
 		return nil, CityStats{}, err
 	}
-	numRelays := int(float64(cfg.Devices) * cfg.RelayFraction)
-	if numRelays < 1 {
-		numRelays = 1
-	}
+	numRelays := cityRelayCount(cfg)
 	return rep, CityStats{
 		Devices:    cfg.Devices,
 		Relays:     numRelays,

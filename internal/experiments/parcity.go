@@ -10,6 +10,7 @@ import (
 	"d2dhb/internal/cellular"
 	"d2dhb/internal/core"
 	"d2dhb/internal/d2d"
+	"d2dhb/internal/device"
 	"d2dhb/internal/energy"
 	"d2dhb/internal/geo"
 	"d2dhb/internal/hbmsg"
@@ -17,7 +18,6 @@ import (
 	"d2dhb/internal/presence"
 	"d2dhb/internal/radio"
 	"d2dhb/internal/rrc"
-	"d2dhb/internal/sched"
 	"d2dhb/internal/simtime"
 	"d2dhb/internal/trace"
 )
@@ -162,6 +162,7 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 
 	n := cfg.Devices
 	env.devices = make([]*pdevice, 0, n)
+	block := make([]pdevice, n) // every device in one allocation
 	env.posSnap = make([]geo.Point, n)
 	env.advFree = make([]int, n)
 	env.advIntent = make([]int, n)
@@ -171,8 +172,11 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	env.advIntNext = make([]int, n)
 	env.advAccNext = make([]bool, n)
 
-	addDevice := func(d *pdevice) error {
-		d.order = len(env.devices)
+	// addDevice places a device on its tile and gives it its clock, RNG
+	// stream, ledger and RRC machine; the caller then builds the role on it.
+	addDevice := func(id hbmsg.DeviceID, role d2d.Role, mob geo.Mobility) (*pdevice, error) {
+		d := &block[len(env.devices)]
+		*d = pdevice{env: env, id: id, order: len(env.devices), role: role, mob: mob, relayOrder: -1}
 		env.devices = append(env.devices, d)
 		env.orderOf[d.id] = d.order
 		p := d.mob.Pos(0)
@@ -181,47 +185,49 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 		tl := env.tiles[d.tile]
 		d.tileIdx = len(tl.devices)
 		tl.devices = append(tl.devices, d)
-		d.agenda = simtime.NewAgenda(tl.sched)
+		d.Agenda = simtime.NewAgenda(tl.sched)
 		d.rng = simtime.NewDerivedRand(cfg.Seed, int64(d.order))
 		d.ledger = energy.NewLedger()
-		var start func()
-		if d.relay != nil {
-			start = d.relayStartPeriod
-		} else {
-			start = d.ueHeartbeat
-		}
-		if _, err := d.agenda.At(d.startOffset, start); err != nil {
-			return fmt.Errorf("experiments: start %s: %w", d.id, err)
-		}
-		return nil
+		var err error
+		d.rrc, err = rrc.NewMachine(d.Agenda, env.rrcCfg)
+		return d, err
 	}
 	for i := range pop.relays {
 		spec := &pop.relays[i]
-		policy, err := sched.NewNagle(spec.Capacity, env.profile.Period)
+		d, err := addDevice(spec.ID, d2d.RoleRelay, spec.Mobility)
 		if err != nil {
 			return nil, ParallelCityStats{}, err
 		}
-		d := &pdevice{
-			env: env, id: spec.ID, role: d2d.RoleRelay,
-			mob: spec.Mobility, startOffset: spec.StartOffset,
-			relay: &prelay{
-				capacity: spec.Capacity,
-				policy:   policy,
-				sources:  make(map[ackKey]int),
-			},
+		d.relay, err = device.NewRelayOn(d, device.RelayConfig{
+			ID:          spec.ID,
+			Profile:     env.profile,
+			Capacity:    spec.Capacity,
+			StartOffset: spec.StartOffset,
+		})
+		if err != nil {
+			return nil, ParallelCityStats{}, err
 		}
-		if err := addDevice(d); err != nil {
+		if err := d.relay.Start(); err != nil {
 			return nil, ParallelCityStats{}, err
 		}
 	}
 	for i := range pop.ues {
 		spec := &pop.ues[i]
-		d := &pdevice{
-			env: env, id: spec.ID, role: d2d.RoleUE,
-			mob: spec.Mobility, startOffset: spec.StartOffset,
-			ue: &pue{relayOrder: -1, pending: make(map[uint64]*ppending)},
+		d, err := addDevice(spec.ID, d2d.RoleUE, spec.Mobility)
+		if err != nil {
+			return nil, ParallelCityStats{}, err
 		}
-		if err := addDevice(d); err != nil {
+		d.ue, err = device.NewUEOn(d, device.UEConfig{
+			ID:          spec.ID,
+			Profile:     env.profile,
+			Match:       env.match,
+			StartOffset: spec.StartOffset,
+			DisableD2D:  cfg.DisableD2D,
+		})
+		if err != nil {
+			return nil, ParallelCityStats{}, err
+		}
+		if err := d.ue.Start(); err != nil {
 			return nil, ParallelCityStats{}, err
 		}
 	}
@@ -248,14 +254,9 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			p := d.pos(boundary)
 			env.posNext[d.order] = p
 			if d.relay != nil {
-				r := d.relay
-				free := 0
-				if r.policy.Accepting() {
-					free = r.capacity - r.policy.Pending()
-				}
-				env.advFreeNext[d.order] = free
-				env.advIntNext[d.order] = d2d.IntentForLoad(r.capacity-free, r.capacity)
-				env.advAccNext[d.order] = r.started
+				env.advFreeNext[d.order] = d.advFree
+				env.advIntNext[d.order] = d.advIntent
+				env.advAccNext[d.order] = d.advAccepting
 			}
 			if !final && grid.TileOf(p) != d.tile {
 				tl.migrants = append(tl.migrants, d)
@@ -366,7 +367,7 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 	devs := make([]*core.DeviceReport, 0, n)
 	totalL3 := 0
 	for _, d := range env.devices {
-		c := d.rrc.countersAt(cfg.Duration)
+		c := d.rrc.Counters()
 		totalL3 += c.L3Messages
 		_, flaps, _ := tracker.Stats(d.id, cfg.Duration)
 		dr := &core.DeviceReport{
@@ -379,10 +380,10 @@ func RunCityParallel(cfg ParallelCityConfig) (*core.Report, ParallelCityStats, e
 			PresenceFlaps: flaps,
 		}
 		if d.relay != nil {
-			st := d.relay.stats
+			st := d.relay.Stats()
 			dr.Relay = &st
 		} else {
-			st := d.ue.stats
+			st := d.ue.Stats()
 			dr.UE = &st
 		}
 		devs = append(devs, dr)
@@ -424,7 +425,7 @@ func (env *parEnv) migrate(d *pdevice, newTile int) error {
 	d.tile = newTile
 	d.tileIdx = len(nt.devices)
 	nt.devices = append(nt.devices, d)
-	if err := d.agenda.Rehome(nt.sched); err != nil {
+	if err := d.Rehome(nt.sched); err != nil {
 		return fmt.Errorf("experiments: migrate %s: %w", d.id, err)
 	}
 	return nil

@@ -108,15 +108,18 @@ type Counters struct {
 }
 
 // Machine is a single modem's RRC state machine bound to a simulation
-// scheduler. It is not safe for concurrent use (the simulation is
-// single-threaded).
+// clock: the shared scheduler in the sequential kernel, the owning
+// device's agenda in the tile kernel, so the inactivity tail migrates with
+// the device. It is not safe for concurrent use (each clock is driven by
+// one goroutine).
 type Machine struct {
-	sched *simtime.Scheduler
+	clock simtime.Clock
 	cfg   Config
 
 	state        State
 	connectedAt  time.Duration
-	releaseTimer *simtime.Timer
+	releaseTimer simtime.Handle
+	onRelease    func() // the release timer's callback, bound once
 	counters     Counters
 	signaling    func(msgs int)
 }
@@ -136,14 +139,19 @@ func (m *Machine) emitSignaling(msgs int) {
 }
 
 // NewMachine returns an idle state machine.
-func NewMachine(sched *simtime.Scheduler, cfg Config) (*Machine, error) {
-	if sched == nil {
-		return nil, errors.New("rrc: nil scheduler")
+func NewMachine(clock simtime.Clock, cfg Config) (*Machine, error) {
+	if clock == nil {
+		return nil, errors.New("rrc: nil clock")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{sched: sched, cfg: cfg, state: Idle}, nil
+	m := &Machine{clock: clock, cfg: cfg, state: Idle}
+	m.onRelease = func() {
+		m.releaseTimer = nil
+		m.release()
+	}
+	return m, nil
 }
 
 // State returns the current RRC state.
@@ -154,7 +162,7 @@ func (m *Machine) State() State { return m.state }
 func (m *Machine) Counters() Counters {
 	c := m.counters
 	if m.state == Connected {
-		c.ConnectedTime += m.sched.Now() - m.connectedAt
+		c.ConnectedTime += m.clock.Now() - m.connectedAt
 	}
 	return c
 }
@@ -182,14 +190,14 @@ func (m *Machine) ForceRelease() {
 	if m.state != Connected {
 		return
 	}
-	m.sched.Stop(m.releaseTimer)
+	m.clock.Disarm(m.releaseTimer)
 	m.releaseTimer = nil
 	m.release()
 }
 
 func (m *Machine) promote() {
 	m.state = Connected
-	m.connectedAt = m.sched.Now()
+	m.connectedAt = m.clock.Now()
 	m.counters.Promotions++
 	m.emitSignaling(m.cfg.SetupMessages)
 }
@@ -198,17 +206,12 @@ func (m *Machine) release() {
 	m.state = Idle
 	m.counters.Releases++
 	m.emitSignaling(m.cfg.ReleaseMessages)
-	m.counters.ConnectedTime += m.sched.Now() - m.connectedAt
+	m.counters.ConnectedTime += m.clock.Now() - m.connectedAt
 }
 
 func (m *Machine) armReleaseTimer() error {
-	if m.releaseTimer != nil {
-		m.sched.Stop(m.releaseTimer)
-	}
-	t, err := m.sched.After(m.cfg.InactivityTail, func() {
-		m.releaseTimer = nil
-		m.release()
-	})
+	m.clock.Disarm(m.releaseTimer)
+	t, err := m.clock.Arm(m.clock.Now()+m.cfg.InactivityTail, m.onRelease)
 	if err != nil {
 		return fmt.Errorf("rrc: arm release timer: %w", err)
 	}

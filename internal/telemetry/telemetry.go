@@ -158,12 +158,12 @@ func NewRegistry() *Registry {
 
 // lookup get-or-creates the entry, panicking on a kind clash: two call
 // sites disagreeing about what a metric name means is a programming error
-// no fallback can paper over.
+// no fallback can paper over. The caller holds r.mu and fills the entry's
+// instrument before releasing it, so concurrent first uses of one metric
+// all receive the same instrument.
 func (r *Registry) lookup(name string, kind Kind, unit string, labels []Label) *entry {
 	labels = sortLabels(labels)
 	key := entryKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if e, ok := r.entries[key]; ok {
 		if e.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %v, was %v", name, kind, e.kind))
@@ -178,6 +178,8 @@ func (r *Registry) lookup(name string, kind Kind, unit string, labels []Label) *
 // Counter returns the counter registered under name+labels, creating it on
 // first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := r.lookup(name, KindCounter, "", labels)
 	if e.counter == nil {
 		e.counter = &Counter{}
@@ -188,6 +190,8 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // Gauge returns the gauge registered under name+labels, creating it on
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := r.lookup(name, KindGauge, "", labels)
 	if e.gauge == nil {
 		e.gauge = &Gauge{}
@@ -200,16 +204,17 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // occupancy — instead of mirroring them on every update. fn runs outside
 // the registry lock and must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	e := r.lookup(name, KindGauge, "", labels)
 	r.mu.Lock()
-	e.gaugeFn = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.lookup(name, KindGauge, "", labels).gaugeFn = fn
 }
 
 // Histogram returns the histogram registered under name+labels, creating it
 // with the given shard count on first use. unit names the recorded values
 // ("us", "msgs") and is carried through dumps unchanged.
 func (r *Registry) Histogram(name, unit string, shards int, labels ...Label) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	e := r.lookup(name, KindHistogram, unit, labels)
 	if e.hist == nil {
 		e.hist = NewHistogram(shards)
@@ -221,11 +226,11 @@ func (r *Registry) Histogram(name, unit string, shards int, labels ...Label) *Hi
 // the adoption path for components that already own a Histogram, like the
 // load generator's latency recorders.
 func (r *Registry) Observe(name, unit string, h *Histogram, labels ...Label) {
-	e := r.lookup(name, KindHistogram, unit, labels)
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.lookup(name, KindHistogram, unit, labels)
 	e.unit = unit
 	e.hist = h
-	r.mu.Unlock()
 }
 
 // HistDump summarizes one histogram in a dump, in the histogram's unit.
