@@ -82,8 +82,8 @@ func run(id, relayAddr, server, appNames string, report time.Duration) error {
 			return nil
 		case <-ticker.C:
 			st := ue.Stats()
-			fmt.Printf("generated=%d viaRelay=%d direct=%d fallbacks=%d acks=%d\n",
-				st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks)
+			fmt.Printf("generated=%d viaRelay=%d direct=%d fallbacks=%d acks=%d serverAcks=%d lost=%d\n",
+				st.Generated, st.ViaRelay, st.Direct, st.FallbackResends, st.FeedbackAcks, st.ServerAcks, st.Lost)
 		}
 	}
 }

@@ -143,3 +143,25 @@ func TestCorpusClusterReplay(t *testing.T) {
 		t.Errorf("corpus replay reached only %d shards", served)
 	}
 }
+
+// TestCorpusCheck runs the trace checker on the committed fixture. It was
+// recorded before trunks recorded a send for a heartbeat whose first write
+// failed in cluster mode, so exactly one ack has no send: client 14's seq 1,
+// delivered by the fallback resend. The fixture also holds late acks of
+// fallback resends (seq 7 after seq 10 for clients 0, 1 and 7; seq 9 after
+// seq 10 for clients 2–5), which is why per-client ack monotonicity is not
+// a rule.
+func TestCorpusCheck(t *testing.T) {
+	tl := loadCorpus(t)
+	vs := rec.Check(tl)
+	if len(vs) != 1 {
+		t.Fatalf("corpus violations %v, want exactly the one known orphan", vs)
+	}
+	v := vs[0]
+	if v.Rule != rec.RuleOrphan || v.Event.Kind != rec.EvAck || v.Event.Client != 14 || v.Event.Seq != 1 {
+		t.Fatalf("corpus violation %v, want the orphan ack of client 14 seq 1", v)
+	}
+	if at := v.Event.At.Round(10 * time.Microsecond); at != 457040*time.Microsecond {
+		t.Fatalf("orphan ack at %v, want 457.04ms", v.Event.At)
+	}
+}

@@ -1,9 +1,16 @@
+// Package loadgen is an open-loop load-generation and capacity-measurement
+// harness for the real heartbeat stack (internal/relaynet + internal/hbproto).
+// It spawns fleets of virtual UEs and relay agents over loopback TCP against
+// a presence server, shapes fleet activation with an arrival schedule
+// (steady, ramp, spike), records per-heartbeat ack latency into lock-free
+// sharded histograms (telemetry.Histogram, in microseconds), and renders
+// periodic and final reports as both a human table (internal/metrics) and
+// JSON.
 package loadgen
 
 import (
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,8 +214,8 @@ type Runner struct {
 	units      []loadUnit
 	counters   fleetCounters
 	shardSent  shardCounter
-	histDirect *Histogram
-	histRelay  *Histogram
+	histDirect *telemetry.Histogram
+	histRelay  *telemetry.Histogram
 	readers    sync.WaitGroup
 
 	ackTimeout time.Duration
@@ -234,8 +241,8 @@ func New(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{
 		cfg:        cfg,
-		histDirect: NewHistogram(cfg.HistShards),
-		histRelay:  NewHistogram(cfg.HistShards),
+		histDirect: telemetry.NewHistogram(cfg.HistShards),
+		histRelay:  telemetry.NewHistogram(cfg.HistShards),
 	}
 	r.minPeriod, r.maxPeriod = r.periodRange()
 	r.ackTimeout = cfg.AckTimeout
@@ -511,7 +518,7 @@ func (r *Runner) buildFleet() {
 			relayed: relayed,
 			timeout: r.ackTimeout,
 			c:       &r.counters,
-			pending: make(map[uint64]int64),
+			pending: relaynet.NewPending(),
 			dial:    net.Dial,
 			readers: &r.readers,
 			trec:    r.cfg.Recorder,
@@ -538,7 +545,7 @@ func (r *Runner) buildFleet() {
 				// the load-fleet analog of the UEClient fallback that
 				// keeps reshards lossless.
 				u.resolve = r.ownerAddr(u.id)
-				u.fellBack = make(map[uint64]bool)
+				u.fallback = true
 			}
 		} else {
 			u.addr = r.serverAddr
@@ -568,26 +575,24 @@ func (r *Runner) buildTrunks() {
 		}
 		p := r.cfg.Profiles[ti%len(r.cfg.Profiles)]
 		t := &trunk{
-			id:      fmt.Sprintf("loadtrunk-%04d", ti),
-			app:     p.Name,
-			addr:    r.serverAddr,
-			period:  r.scale(p.Period),
-			expiry:  r.scale(p.Expiry()),
-			pad:     p.Size,
-			timeout: r.ackTimeout,
-			rec:     r.histRelay.Recorder(),
-			c:       &r.counters,
-			dial:    net.Dial,
-			cluster: r.cluster,
-			shards:  &r.shardSent,
-			readers: &r.readers,
-			users:   make([]tuser, count),
-			index:   make(map[string]int, count),
-			pending: make(map[hbref]int64),
-			conns:   make(map[string]net.Conn),
-		}
-		if r.cluster != nil {
-			t.fellBack = make(map[hbref]bool)
+			id:       fmt.Sprintf("loadtrunk-%04d", ti),
+			app:      p.Name,
+			addr:     r.serverAddr,
+			period:   r.scale(p.Period),
+			expiry:   r.scale(p.Expiry()),
+			pad:      p.Size,
+			timeout:  r.ackTimeout,
+			rec:      r.histRelay.Recorder(),
+			c:        &r.counters,
+			dial:     net.Dial,
+			cluster:  r.cluster,
+			shards:   &r.shardSent,
+			readers:  &r.readers,
+			users:    make([]tuser, count),
+			index:    make(map[string]int, count),
+			fallback: r.cluster != nil,
+			pending:  relaynet.NewPending(),
+			conns:    make(map[string]net.Conn),
 		}
 		if r.cfg.Faults != nil {
 			t.dial = r.cfg.Faults.Dial
@@ -683,7 +688,7 @@ type vue struct {
 	pad     int
 	relayed bool
 	timeout time.Duration
-	rec     *Recorder
+	rec     *telemetry.Recorder
 	trec    *rec.Recorder // trace recorder; nil-safe
 	tidx    int           // this UE's trace client index (-1 when unrecorded)
 	c       *fleetCounters
@@ -694,15 +699,17 @@ type vue struct {
 	// reshards redirect the next connection), the fallback target for
 	// relayed ones.
 	resolve func() string
+	// fallback gives each heartbeat one direct resend to the owning shard
+	// when the relay path misses the ack window (relayed cluster UEs).
+	fallback bool
+	pending  *relaynet.Pending
 
-	mu       sync.Mutex
-	conn     net.Conn
-	dconn    net.Conn         // fallback conn to the owning shard (relayed cluster UEs)
-	pending  map[uint64]int64 // seq → send time (UnixNano)
-	fellBack map[uint64]bool  // seqs already re-sent on the fallback path; nil disables fallback
-	seq      uint64
-	last     uint64 // highest acknowledged seq
-	closed   bool
+	mu     sync.Mutex
+	conn   net.Conn
+	dconn  net.Conn // fallback conn to the owning shard (relayed cluster UEs)
+	seq    uint64
+	last   uint64 // highest acknowledged seq
+	closed bool
 }
 
 // run is the send loop: activate after the arrival offset, then heartbeat
@@ -734,7 +741,7 @@ func (u *vue) run(done <-chan struct{}, offset time.Duration, sendWg *sync.WaitG
 // needed, send one heartbeat.
 func (u *vue) tick() {
 	u.sweep(time.Now())
-	conn := u.ensureConn()
+	conn := u.ensureConn(false)
 	if conn == nil {
 		u.c.dialErrors.Add(1)
 		return
@@ -743,21 +750,16 @@ func (u *vue) tick() {
 	u.mu.Lock()
 	u.seq++
 	seq := u.seq
-	u.pending[seq] = now.UnixNano()
 	u.mu.Unlock()
 	hb := &hbproto.Heartbeat{
 		Src: u.id, Seq: seq, App: u.app,
 		Origin: now, Expiry: u.expiry, Pad: u.pad,
 	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
-		u.c.writeErrors.Add(1)
-		u.mu.Lock()
-		delete(u.pending, seq)
-		if u.conn == conn {
-			u.conn = nil
-		}
-		u.mu.Unlock()
-		_ = conn.Close()
+	ref := hbproto.Ref{Src: u.id, Seq: seq}
+	u.pending.Track(ref, hb, now, u.timeout, u.fallback)
+	// A failed write is forgotten unless an ack already settled it: then
+	// the heartbeat got through.
+	if !u.write(conn, hb) && u.pending.Forget(ref) {
 		return
 	}
 	if u.relayed {
@@ -768,34 +770,47 @@ func (u *vue) tick() {
 	u.trec.Record(rec.EvSend, u.tidx, seq, now)
 }
 
-// ensureConn returns the live connection, dialing (and for relayed UEs
-// registering) when none exists. Direct cluster UEs re-resolve their owning
-// shard on every dial, so a reshard redirects the next connection.
-func (u *vue) ensureConn() net.Conn {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
+// write sends hb on conn, dropping the connection if the write fails.
+func (u *vue) write(conn net.Conn, hb *hbproto.Heartbeat) bool {
+	if err := hbproto.WriteFrame(conn, hb); err != nil {
+		u.c.writeErrors.Add(1)
+		u.drop(conn)
+		return false
 	}
-	if u.conn != nil {
-		conn := u.conn
-		u.mu.Unlock()
+	return true
+}
+
+// ensureConn returns the live primary or fallback connection, dialing when
+// none exists. Relayed UEs register on the primary path, since relays
+// deliver feedback only to registered UE connections. Every other dial
+// re-resolves the owning shard in cluster mode, so a reshard redirects the
+// next connection.
+func (u *vue) ensureConn(fallback bool) net.Conn {
+	slot := &u.conn
+	if fallback {
+		slot = &u.dconn
+	}
+	u.mu.Lock()
+	conn, closed := *slot, u.closed
+	u.mu.Unlock()
+	if closed || conn != nil {
 		return conn
 	}
-	u.mu.Unlock()
 
+	register := u.relayed && !fallback
 	addr := u.addr
-	if !u.relayed && u.resolve != nil {
+	if !register && u.resolve != nil {
 		if a := u.resolve(); a != "" {
 			addr = a
+		} else if fallback {
+			return nil // never resend through the relay
 		}
 	}
 	conn, err := u.dial("tcp", addr)
 	if err != nil {
 		return nil
 	}
-	if u.relayed {
-		// Relays deliver feedback only to registered UE connections.
+	if register {
 		if err := hbproto.WriteFrame(conn, &hbproto.Register{
 			ID: u.id, Role: hbproto.RoleUE, App: u.app,
 			Period: u.period, Expiry: u.expiry,
@@ -810,215 +825,87 @@ func (u *vue) ensureConn() net.Conn {
 		_ = conn.Close()
 		return nil
 	}
-	u.conn = conn
+	*slot = conn
 	u.mu.Unlock()
 	u.readers.Add(1)
-	go u.reader(conn)
+	go func() {
+		defer u.readers.Done()
+		// Both connections feed one tracker: whichever path acknowledges
+		// first settles the heartbeat.
+		_ = u.pending.ReadAcks(conn, u.settle)
+		u.drop(conn)
+	}()
 	return conn
 }
 
-// reader matches ack/feedback refs against pending sends and records
-// latency. One reader serves both the primary and the fallback connection;
-// whichever path acknowledges first settles the pending entry.
-func (u *vue) reader(conn net.Conn) {
-	defer u.readers.Done()
-	// Inline processing, nothing retained past the iteration: safe with
-	// the FrameReader's reused messages.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			u.mu.Lock()
-			if u.conn == conn {
-				u.conn = nil
-			}
-			if u.dconn == conn {
-				u.dconn = nil
-			}
-			u.mu.Unlock()
-			return
-		}
-		var refs []hbproto.Ref
-		switch m := msg.(type) {
-		case *hbproto.Ack:
-			refs = m.Refs
-		case *hbproto.Feedback:
-			refs = m.Refs
-		default:
-			continue
-		}
-		ackAt := time.Now()
-		now := ackAt.UnixNano()
-		u.mu.Lock()
-		for _, ref := range refs {
-			if ref.Src != u.id {
-				continue
-			}
-			at, ok := u.pending[ref.Seq]
-			if !ok {
-				continue
-			}
-			delete(u.pending, ref.Seq)
-			if u.fellBack != nil {
-				delete(u.fellBack, ref.Seq)
-			}
-			latUS := uint64(now-at) / 1000
-			u.rec.Record(latUS)
-			u.trec.Record(rec.EvAck, u.tidx, ref.Seq, ackAt)
-			if u.relayed {
-				u.c.ackedRelayed.Add(1)
-			} else {
-				u.c.ackedDirect.Add(1)
-			}
-			if ref.Seq <= u.last {
-				u.c.outOfOrderAcks.Add(1)
-			} else {
-				u.last = ref.Seq
-			}
-		}
-		u.mu.Unlock()
+// drop forgets conn wherever it is cached and closes it.
+func (u *vue) drop(conn net.Conn) {
+	u.mu.Lock()
+	if u.conn == conn {
+		u.conn = nil
+	}
+	if u.dconn == conn {
+		u.dconn = nil
+	}
+	u.mu.Unlock()
+	_ = conn.Close()
+}
+
+// settle accounts one acknowledged heartbeat.
+func (u *vue) settle(e relaynet.PendingEntry, at time.Time) {
+	u.rec.Record(uint64(at.Sub(e.Sent) / time.Microsecond))
+	u.trec.Record(rec.EvAck, u.tidx, e.Ref.Seq, at)
+	if u.relayed {
+		u.c.ackedRelayed.Add(1)
+	} else {
+		u.c.ackedDirect.Add(1)
+	}
+	u.mu.Lock()
+	stale := e.Ref.Seq <= u.last
+	if !stale {
+		u.last = e.Ref.Seq
+	}
+	u.mu.Unlock()
+	if stale {
+		u.c.outOfOrderAcks.Add(1)
 	}
 }
 
-// sweep writes off pendings older than the ack timeout. Relayed cluster
-// UEs get one more chance first: the heartbeat is re-sent directly to its
-// owning shard (resolved through the current ring epoch) with a fresh ack
-// window, and only a second miss counts as a timeout — mirroring the
-// UEClient feedback-timeout fallback that keeps reshards lossless.
+// sweep judges sends past the ack timeout. Relayed cluster UEs get one
+// more chance first: the heartbeat is re-sent directly to its owning shard
+// (resolved through the current ring epoch) with a fresh ack window, and
+// only a second miss counts as a timeout — mirroring the UEClient
+// feedback-timeout fallback that keeps reshards lossless.
 func (u *vue) sweep(now time.Time) {
-	cutoff := now.Add(-u.timeout).UnixNano()
-	var resend []uint64
-	u.mu.Lock()
-	// Map order is nondeterministic; collect and sort the expired seqs so
-	// the fallback/timeout decisions and trace records replay identically.
-	var expired []uint64
-	for seq, at := range u.pending {
-		if at < cutoff {
-			expired = append(expired, seq)
+	resend, lost := u.pending.Expire(now)
+	u.lost(lost, now)
+	for _, e := range resend {
+		conn := u.ensureConn(true)
+		if conn == nil {
+			u.c.dialErrors.Add(1)
+		} else if u.write(conn, e.HB) {
+			u.c.fallbackResends.Add(1)
 		}
 	}
-	slices.Sort(expired)
-	for _, seq := range expired {
-		if u.fellBack != nil && !u.fellBack[seq] {
-			u.fellBack[seq] = true
-			u.pending[seq] = now.UnixNano()
-			resend = append(resend, seq)
-			continue
-		}
-		delete(u.pending, seq)
-		if u.fellBack != nil {
-			delete(u.fellBack, seq)
-		}
+}
+
+// lost writes heartbeats off as timeouts.
+func (u *vue) lost(es []relaynet.PendingEntry, now time.Time) {
+	for _, e := range es {
 		if u.relayed {
 			u.c.timeoutRelayed.Add(1)
 		} else {
 			u.c.timeoutDirect.Add(1)
 		}
-		u.trec.Record(rec.EvTimeout, u.tidx, seq, now)
+		u.trec.Record(rec.EvTimeout, u.tidx, e.Ref.Seq, now)
 	}
-	u.mu.Unlock()
-	for _, seq := range resend {
-		u.resendDirect(seq)
-	}
-}
-
-// resendDirect re-sends one timed-out relayed heartbeat straight to its
-// owning shard.
-func (u *vue) resendDirect(seq uint64) {
-	conn := u.ensureDconn()
-	if conn == nil {
-		u.c.dialErrors.Add(1)
-		return
-	}
-	hb := &hbproto.Heartbeat{
-		Src: u.id, Seq: seq, App: u.app,
-		Origin: time.Now(), Expiry: u.expiry, Pad: u.pad,
-	}
-	if err := hbproto.WriteFrame(conn, hb); err != nil {
-		u.c.writeErrors.Add(1)
-		u.mu.Lock()
-		if u.dconn == conn {
-			u.dconn = nil
-		}
-		u.mu.Unlock()
-		_ = conn.Close()
-		return
-	}
-	u.c.fallbackResends.Add(1)
-}
-
-// ensureDconn returns the live fallback connection to the owning shard,
-// re-resolving through the ring and dialing when none exists.
-func (u *vue) ensureDconn() net.Conn {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return nil
-	}
-	if u.dconn != nil {
-		conn := u.dconn
-		u.mu.Unlock()
-		return conn
-	}
-	u.mu.Unlock()
-
-	var addr string
-	if u.resolve != nil {
-		addr = u.resolve()
-	}
-	if addr == "" {
-		return nil
-	}
-	conn, err := u.dial("tcp", addr)
-	if err != nil {
-		return nil
-	}
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		_ = conn.Close()
-		return nil
-	}
-	u.dconn = conn
-	u.mu.Unlock()
-	u.readers.Add(1)
-	go u.reader(conn)
-	return conn
 }
 
 // pendingCount returns how many sends still await acknowledgement.
-func (u *vue) pendingCount() int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return len(u.pending)
-}
+func (u *vue) pendingCount() int { return u.pending.Len() }
 
 // expireAll writes off every remaining pending send (end-of-run drain).
-func (u *vue) expireAll() {
-	now := time.Now()
-	u.mu.Lock()
-	// Sorted drain: the end-of-run timeout records land in seq order, not
-	// map order, so recorded traces are canonical before Timeline even
-	// sorts them.
-	seqs := make([]uint64, 0, len(u.pending))
-	for seq := range u.pending {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		delete(u.pending, seq)
-		if u.fellBack != nil {
-			delete(u.fellBack, seq)
-		}
-		if u.relayed {
-			u.c.timeoutRelayed.Add(1)
-		} else {
-			u.c.timeoutDirect.Add(1)
-		}
-		u.trec.Record(rec.EvTimeout, u.tidx, seq, now)
-	}
-	u.mu.Unlock()
-}
+func (u *vue) expireAll() { u.lost(u.pending.Drain(), time.Now()) }
 
 // close shuts the UE's connections down; readers exit on the closed conns.
 func (u *vue) close() {

@@ -15,6 +15,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"d2dhb/internal/cluster"
@@ -52,12 +53,6 @@ type ReplayOptions struct {
 	Faults *faultnet.Schedule
 }
 
-// replayKey identifies one in-flight replayed heartbeat.
-type replayKey struct {
-	id  string
-	seq uint64
-}
-
 // replayUnit is one connection's worth of replayed clients: a single
 // direct client, or every client of one relay/trunk group.
 type replayUnit struct {
@@ -73,14 +68,13 @@ type liveReplay struct {
 	addr    string
 	cluster *cluster.Client // nil outside cluster mode
 	start   time.Time
+	pending *relaynet.Pending
+
+	uplinks, batches, werrs atomic.Uint64
 
 	mu        sync.Mutex
-	pending   map[replayKey]time.Time
 	lat       *rec.Sample
 	delivered uint64
-	uplinks   uint64
-	batches   uint64
-	werrs     uint64
 	conns     []net.Conn
 
 	readers sync.WaitGroup
@@ -111,7 +105,7 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 	r := &liveReplay{
 		tl:      tl,
 		opts:    opts,
-		pending: make(map[replayKey]time.Time),
+		pending: relaynet.NewPending(),
 		lat:     rec.NewSample(),
 	}
 
@@ -188,13 +182,7 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 
 	// Drain: give in-flight acks one timeout window to land.
 	deadline := time.Now().Add(opts.AckTimeout)
-	for time.Now().Before(deadline) {
-		r.mu.Lock()
-		n := len(r.pending)
-		r.mu.Unlock()
-		if n == 0 {
-			break
-		}
+	for time.Now().Before(deadline) && r.pending.Len() > 0 {
 		time.Sleep(10 * time.Millisecond)
 	}
 	r.mu.Lock()
@@ -205,16 +193,17 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		_ = c.Close()
 	}
 	r.readers.Wait()
+	lost := uint64(len(r.pending.Drain()))
 
 	m := rec.Metrics{Source: "live"}
 	r.mu.Lock()
-	m.Sent = uint64(len(r.pending)) + r.delivered + r.werrs
+	m.Sent = lost + r.delivered + r.werrs.Load()
 	m.Delivered = r.delivered
-	m.Timeouts = uint64(len(r.pending)) + r.werrs
 	m.AckLatency = r.lat.Quantiles()
-	m.Signaling.Uplinks = r.uplinks
-	m.Signaling.Batches = r.batches
 	r.mu.Unlock()
+	m.Timeouts = lost + r.werrs.Load()
+	m.Signaling.Uplinks = r.uplinks.Load()
+	m.Signaling.Batches = r.batches.Load()
 	m.Finish()
 	return m, nil
 }
@@ -258,7 +247,10 @@ func (r *liveReplay) dial(addr string, register *hbproto.Register) net.Conn {
 		}
 	}
 	r.readers.Add(1)
-	go r.reader(conn)
+	go func() {
+		defer r.readers.Done()
+		_ = r.pending.ReadAcks(conn, r.settle)
+	}()
 	return conn
 }
 
@@ -285,7 +277,7 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 			conn = r.dial(r.ownerAddr(c.ID), nil)
 		}
 		if conn == nil {
-			r.noteWriteError(1)
+			r.werrs.Add(1)
 			continue
 		}
 		now := time.Now()
@@ -293,15 +285,17 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		}
-		r.track(replayKey{c.ID, e.Seq}, now)
+		ref := hbproto.Ref{Src: c.ID, Seq: e.Seq}
+		r.pending.Track(ref, nil, now, r.opts.AckTimeout, false)
 		if err := hbproto.WriteFrame(conn, hb); err != nil {
-			r.untrack(replayKey{c.ID, e.Seq})
-			r.noteWriteError(1)
+			if r.pending.Forget(ref) {
+				r.werrs.Add(1)
+			}
 			_ = conn.Close()
 			conn = nil
 			continue
 		}
-		r.noteUplink(false)
+		r.uplinks.Add(1)
 	}
 	if conn != nil {
 		r.keep(conn)
@@ -364,7 +358,7 @@ func (r *liveReplay) sendTrunkBatch(conns map[string]net.Conn, u *replayUnit, sh
 			Period: r.tl.RelayPeriod, Expiry: r.tl.RelayPeriod,
 		})
 		if conn == nil {
-			r.noteWriteError(len(events))
+			r.werrs.Add(uint64(len(events)))
 			return
 		}
 		conns[shard] = conn
@@ -377,18 +371,20 @@ func (r *liveReplay) sendTrunkBatch(conns map[string]net.Conn, u *replayUnit, sh
 			Src: c.ID, Seq: e.Seq, App: c.App,
 			Origin: now, Expiry: c.Expiry, Pad: c.Pad,
 		})
-		r.track(replayKey{c.ID, e.Seq}, now)
+		r.pending.Track(hbproto.Ref{Src: c.ID, Seq: e.Seq}, nil, now, r.opts.AckTimeout, false)
 	}
 	if err := hbproto.WriteFrame(conn, b); err != nil {
-		for _, e := range events {
-			r.untrack(replayKey{r.tl.Clients[e.Client].ID, e.Seq})
+		for _, hb := range b.HBs {
+			if r.pending.Forget(hbproto.Ref{Src: hb.Src, Seq: hb.Seq}) {
+				r.werrs.Add(1)
+			}
 		}
-		r.noteWriteError(len(events))
 		_ = conn.Close()
 		delete(conns, shard)
 		return
 	}
-	r.noteUplink(true)
+	r.uplinks.Add(1)
+	r.batches.Add(1)
 }
 
 // keep parks a finished unit's connection so the drain phase can still
@@ -399,66 +395,10 @@ func (r *liveReplay) keep(conn net.Conn) {
 	r.mu.Unlock()
 }
 
-func (r *liveReplay) track(k replayKey, at time.Time) {
+// settle accounts one delivered heartbeat.
+func (r *liveReplay) settle(e relaynet.PendingEntry, at time.Time) {
 	r.mu.Lock()
-	r.pending[k] = at
+	r.delivered++
+	r.lat.Add(float64(at.Sub(e.Sent)) / float64(time.Millisecond))
 	r.mu.Unlock()
-}
-
-func (r *liveReplay) untrack(k replayKey) {
-	r.mu.Lock()
-	delete(r.pending, k)
-	r.mu.Unlock()
-}
-
-func (r *liveReplay) noteWriteError(n int) {
-	r.mu.Lock()
-	r.werrs += uint64(n)
-	r.mu.Unlock()
-}
-
-func (r *liveReplay) noteUplink(batch bool) {
-	r.mu.Lock()
-	r.uplinks++
-	if batch {
-		r.batches++
-	}
-	r.mu.Unlock()
-}
-
-// reader consumes acks/feedback and settles pending heartbeats.
-func (r *liveReplay) reader(conn net.Conn) {
-	defer r.readers.Done()
-	// Inline processing: refs are consumed under r.mu before the next
-	// Next() call, and the interned Src strings promoted into replayKeys
-	// are stable, so the FrameReader's reuse is safe.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			return
-		}
-		var refs []hbproto.Ref
-		switch m := msg.(type) {
-		case *hbproto.Ack:
-			refs = m.Refs
-		case *hbproto.Feedback:
-			refs = m.Refs
-		default:
-			continue
-		}
-		now := time.Now()
-		r.mu.Lock()
-		for _, ref := range refs {
-			k := replayKey{ref.Src, ref.Seq}
-			at, ok := r.pending[k]
-			if !ok {
-				continue
-			}
-			delete(r.pending, k)
-			r.delivered++
-			r.lat.Add(float64(now.Sub(at)) / float64(time.Millisecond))
-		}
-		r.mu.Unlock()
-	}
 }

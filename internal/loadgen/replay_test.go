@@ -10,7 +10,9 @@ import (
 )
 
 // recordRun executes one small in-process loadgen run with a recorder
-// attached and returns the captured timeline.
+// attached and returns the captured timeline, after checking that every
+// recorded send ended in exactly one outcome (the run drains before it
+// returns).
 func recordRun(t *testing.T, cfg Config) *rec.Timeline {
 	t.Helper()
 	recorder := rec.NewRecorder()
@@ -29,6 +31,9 @@ func recordRun(t *testing.T, cfg Config) *rec.Timeline {
 	tl, err := recorder.Timeline()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if vs := rec.Check(tl); len(vs) > 0 {
+		t.Fatalf("recorded trace breaks %d outcome rules, first %v", len(vs), vs[0])
 	}
 	return tl
 }

@@ -1,15 +1,15 @@
 package loadgen
 
 import (
-	"cmp"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
 	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/rec"
+	"d2dhb/internal/relaynet"
+	"d2dhb/internal/telemetry"
 )
 
 // maxTrunkBatch caps heartbeats per Batch frame: hbproto bounds frames at
@@ -22,24 +22,6 @@ type tuser struct {
 	id   string
 	seq  uint64
 	last uint64 // highest acknowledged seq
-}
-
-// hbref identifies one in-flight heartbeat: user index + sequence number.
-type hbref struct {
-	idx int
-	seq uint64
-}
-
-// sortRefs orders refs by (user index, seq): the canonical walk order for
-// anything that records trace events per ref, since map iteration over
-// pending sets is nondeterministic.
-func sortRefs(refs []hbref) {
-	slices.SortFunc(refs, func(a, b hbref) int {
-		if c := cmp.Compare(a.idx, b.idx); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
 }
 
 // trunk multiplexes many virtual users over one hbproto relay connection
@@ -59,7 +41,7 @@ type trunk struct {
 	expiry  time.Duration
 	pad     int
 	timeout time.Duration
-	rec     *Recorder
+	rec     *telemetry.Recorder
 	trec    *rec.Recorder // trace recorder; nil-safe
 	trecIdx []int         // per-user trace client indices (immutable after build)
 	c       *fleetCounters
@@ -81,13 +63,16 @@ type trunk struct {
 	hbScratch []hbproto.Heartbeat
 	batchMsg  hbproto.Batch
 
-	mu       sync.Mutex
-	users    []tuser
-	index    map[string]int  // user id → index (ids are immutable after build)
-	pending  map[hbref]int64 // in-flight heartbeat → send time (UnixNano)
-	fellBack map[hbref]bool  // heartbeats already re-sent; nil disables fallback
-	conns    map[string]net.Conn
-	closed   bool
+	// fallback gives each heartbeat one resend through the then-current
+	// ring view when its ack misses the window (cluster mode).
+	fallback bool
+	pending  *relaynet.Pending
+	index    map[string]int // user id → index (ids are immutable after build)
+
+	mu     sync.Mutex
+	users  []tuser
+	conns  map[string]net.Conn
+	closed bool
 }
 
 // run is the send loop: activate after the arrival offset, then batch one
@@ -139,8 +124,7 @@ func (t *trunk) run(done <-chan struct{}, offset time.Duration, sendWg *sync.Wai
 // re-send stale pendings, then emit the fresh round.
 func (t *trunk) tick() {
 	now := time.Now()
-	resend := t.collectExpired(now)
-	t.emit(nil, now, resend)
+	t.emit(nil, now, t.expire(now))
 }
 
 // tickSlot is one paced sub-tick: emit the users assigned to this slot.
@@ -148,17 +132,16 @@ func (t *trunk) tick() {
 // unpaced cadence so fallback/timeout timing is unchanged by pacing.
 func (t *trunk) tickSlot(slot int) {
 	now := time.Now()
-	var resend []hbref
+	var resend []hbproto.Ref
 	if slot == 0 {
-		resend = t.collectExpired(now)
+		resend = t.expire(now)
 	}
 	t.emit(t.slotUsers[slot], now, resend)
 }
 
 // emit sends one fresh heartbeat for each listed user index (nil means the
 // whole fleet) plus any expired re-sends.
-func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
-	nano := now.UnixNano()
+func (t *trunk) emit(idxs []int, now time.Time, resend []hbproto.Ref) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -168,18 +151,19 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []hbref) {
 	if idxs == nil {
 		n = len(t.users)
 	}
-	fresh := make([]hbref, n)
+	fresh := make([]hbproto.Ref, n)
 	for j := 0; j < n; j++ {
 		i := j
 		if idxs != nil {
 			i = idxs[j]
 		}
 		t.users[i].seq++
-		ref := hbref{i, t.users[i].seq}
-		t.pending[ref] = nano
-		fresh[j] = ref
+		fresh[j] = hbproto.Ref{Src: t.users[i].id, Seq: t.users[i].seq}
 	}
 	t.mu.Unlock()
+	for _, ref := range fresh {
+		t.pending.Track(ref, nil, now, t.timeout, t.fallback)
+	}
 	if len(fresh) > 0 {
 		t.send(fresh, now, false)
 	}
@@ -209,7 +193,7 @@ func paceSlot(trunkID, userID string, slots int) int {
 
 // send partitions heartbeats per owning shard under one ring view (so a
 // round never mixes epochs) and writes one chunked Batch per shard.
-func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
+func (t *trunk) send(refs []hbproto.Ref, now time.Time, fallback bool) {
 	if t.cluster == nil {
 		t.sendShard("", refs, now, fallback)
 		return
@@ -217,10 +201,10 @@ func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
 	view := t.cluster.View()
 	keys := make([]string, len(refs))
 	for i, ref := range refs {
-		keys[i] = t.users[ref.idx].id
+		keys[i] = ref.Src
 	}
 	for _, g := range view.Ring().GroupSorted(keys) {
-		group := make([]hbref, len(g.Idxs))
+		group := make([]hbproto.Ref, len(g.Idxs))
 		for j, k := range g.Idxs {
 			group[j] = refs[k]
 		}
@@ -231,15 +215,47 @@ func (t *trunk) send(refs []hbref, now time.Time, fallback bool) {
 // sendShard writes one shard's heartbeats as Batch frames, composing every
 // chunk frame into one reusable buffer and issuing a single write — the
 // syscall count per emission is one per shard, not one per 4096 heartbeats.
-// Failures leave the pending entries in place when fallback is available
-// (the sweep re-sends them through a newer view) and write them off as
-// transport errors otherwise.
-func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bool) {
+// Heartbeats that missed the wire stay pending when fallback is available
+// (the sweep re-sends them through a newer view) and are forgotten
+// otherwise, so a transport error is not double-counted as an ack timeout.
+// A fresh heartbeat is recorded as sent whenever the tracker keeps it.
+func (t *trunk) sendShard(shard string, refs []hbproto.Ref, now time.Time, fallback bool) {
+	if !t.writeShard(shard, refs, now) {
+		if !t.fallback {
+			kept := refs[:0:0]
+			for _, ref := range refs {
+				if !t.pending.Forget(ref) {
+					kept = append(kept, ref) // an ack already settled it
+				}
+			}
+			refs = kept
+		}
+	} else {
+		if fallback {
+			t.c.fallbackResends.Add(uint64(len(refs)))
+		} else {
+			t.c.sentRelayed.Add(uint64(len(refs)))
+		}
+		if shard != "" {
+			t.shards.add(shard, uint64(len(refs)))
+		}
+	}
+	if !fallback {
+		for _, ref := range refs {
+			t.trec.Record(rec.EvSend, t.recIdx(ref.Src), ref.Seq, now)
+		}
+	}
+}
+
+// writeShard encodes refs as chunked Batch frames and writes them in one
+// call on the shard's connection, counting a failed dial or write. A failed
+// write drops the connection; an encode failure is a bug, not a transport
+// fault, so it leaves the (healthy) connection alone.
+func (t *trunk) writeShard(shard string, refs []hbproto.Ref, now time.Time) bool {
 	conn := t.ensureConn(shard)
 	if conn == nil {
 		t.c.dialErrors.Add(1)
-		t.abandon(refs)
-		return
+		return false
 	}
 	out := t.sendBuf[:0]
 	frames := uint64(0)
@@ -252,7 +268,7 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 		hbs := t.hbScratch[:len(chunk)]
 		for i, ref := range chunk {
 			hbs[i] = hbproto.Heartbeat{
-				Src: t.users[ref.idx].id, Seq: ref.seq, App: t.app,
+				Src: ref.Src, Seq: ref.Seq, App: t.app,
 				Origin: now, Expiry: t.expiry, Pad: t.pad,
 			}
 		}
@@ -261,11 +277,8 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 		out, err = hbproto.AppendFrame(out, &t.batchMsg)
 		t.batchMsg.HBs = nil
 		if err != nil {
-			// Encode failure is a bug, not a transport fault: write the
-			// refs off without dropping the (healthy) connection.
 			t.c.writeErrors.Add(1)
-			t.abandon(refs)
-			return
+			return false
 		}
 		frames++
 	}
@@ -273,86 +286,47 @@ func (t *trunk) sendShard(shard string, refs []hbref, now time.Time, fallback bo
 	if _, err := conn.Write(out); err != nil {
 		t.c.writeErrors.Add(1)
 		t.dropConn(shard, conn)
-		t.abandon(refs)
-		return
+		return false
 	}
 	t.c.trunkWrites.Add(1)
 	t.c.trunkFrames.Add(frames)
-	if fallback {
-		t.c.fallbackResends.Add(uint64(len(refs)))
-	} else {
-		t.c.sentRelayed.Add(uint64(len(refs)))
-		for _, ref := range refs {
-			t.trec.Record(rec.EvSend, t.recIdx(ref.idx), ref.seq, now)
-		}
-	}
-	if shard != "" {
-		t.shards.add(shard, uint64(len(refs)))
-	}
+	return true
 }
 
-// recIdx maps a user index to its trace client index (-1 when the trunk
-// was built without a recorder).
-func (t *trunk) recIdx(i int) int {
-	if i < 0 || i >= len(t.trecIdx) {
+// recIdx maps a user to its trace client index (-1 when the trunk was
+// built without a recorder, which skips the index lookup).
+func (t *trunk) recIdx(id string) int {
+	if t.trec == nil {
 		return -1
 	}
-	return t.trecIdx[i]
+	return t.trecIdx[t.index[id]]
 }
 
-// abandon handles heartbeats that never hit the wire. With fallback
-// enabled they stay pending — the sweep re-sends them through the current
-// view once routes converge; without it they are removed so a transport
-// error is not double-counted as an ack timeout.
-func (t *trunk) abandon(refs []hbref) {
-	if t.fellBack != nil {
-		return
+// expire judges heartbeats past the ack timeout: a first miss with
+// fallback enabled comes back for a re-send, anything else is written off
+// as a timeout.
+func (t *trunk) expire(now time.Time) []hbproto.Ref {
+	resend, lost := t.pending.Expire(now)
+	t.lost(lost, now)
+	refs := make([]hbproto.Ref, len(resend))
+	for i, e := range resend {
+		refs[i] = e.Ref
 	}
-	t.mu.Lock()
-	for _, ref := range refs {
-		delete(t.pending, ref)
-	}
-	t.mu.Unlock()
+	return refs
 }
 
-// collectExpired marks pendings older than the ack timeout: first expiry
-// with fallback enabled re-arms the clock and returns the heartbeat for a
-// direct re-send; anything else is written off as a timeout.
-func (t *trunk) collectExpired(now time.Time) []hbref {
-	cutoff := now.Add(-t.timeout).UnixNano()
-	var resend []hbref
-	t.mu.Lock()
-	// Collect and sort before acting: the fallback/timeout decisions and
-	// the trace records must not depend on map iteration order.
-	var expired []hbref
-	for ref, at := range t.pending {
-		if at < cutoff {
-			expired = append(expired, ref)
-		}
+// lost writes heartbeats off as timeouts.
+func (t *trunk) lost(es []relaynet.PendingEntry, now time.Time) {
+	t.c.timeoutRelayed.Add(uint64(len(es)))
+	for _, e := range es {
+		t.trec.Record(rec.EvTimeout, t.recIdx(e.Ref.Src), e.Ref.Seq, now)
 	}
-	sortRefs(expired)
-	for _, ref := range expired {
-		if t.fellBack != nil && !t.fellBack[ref] {
-			t.fellBack[ref] = true
-			t.pending[ref] = now.UnixNano()
-			resend = append(resend, ref)
-			continue
-		}
-		delete(t.pending, ref)
-		if t.fellBack != nil {
-			delete(t.fellBack, ref)
-		}
-		t.c.timeoutRelayed.Add(1)
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
-	}
-	t.mu.Unlock()
-	return resend
 }
 
 // sweep re-sends expired heartbeats (drain-phase entry point; tick folds
-// the same collection into its round).
+// the same judgement into its round).
 func (t *trunk) sweep(now time.Time) {
-	if resend := t.collectExpired(now); len(resend) > 0 {
+	if resend := t.expire(now); len(resend) > 0 {
 		t.send(resend, now, true)
 	}
 }
@@ -405,7 +379,11 @@ func (t *trunk) ensureConn(shard string) net.Conn {
 	t.conns[shard] = conn
 	t.mu.Unlock()
 	t.readers.Add(1)
-	go t.reader(shard, conn)
+	go func() {
+		defer t.readers.Done()
+		_ = t.pending.ReadAcks(conn, t.settle)
+		t.dropConn(shard, conn)
+	}()
 	return conn
 }
 
@@ -419,84 +397,30 @@ func (t *trunk) dropConn(shard string, conn net.Conn) {
 	_ = conn.Close()
 }
 
-// reader matches batch-ack refs against pending heartbeats and records
-// latency; stale refs for superseded or already-settled sends are ignored.
-func (t *trunk) reader(shard string, conn net.Conn) {
-	defer t.readers.Done()
-	// Streaming zero-alloc decode: the reader processes each message inline
-	// and retains nothing past the iteration (ref fields are consumed under
-	// t.mu), so the FrameReader's buffer reuse is safe here.
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			t.dropConn(shard, conn)
-			return
-		}
-		ack, ok := msg.(*hbproto.Ack)
-		if !ok {
-			continue
-		}
-		ackAt := time.Now()
-		now := ackAt.UnixNano()
-		t.mu.Lock()
-		for _, ref := range ack.Refs {
-			i, ok := t.index[ref.Src]
-			if !ok {
-				continue
-			}
-			key := hbref{i, ref.Seq}
-			at, ok := t.pending[key]
-			if !ok {
-				continue
-			}
-			delete(t.pending, key)
-			if t.fellBack != nil {
-				delete(t.fellBack, key)
-			}
-			t.rec.Record(uint64(now-at) / 1000)
-			t.trec.Record(rec.EvAck, t.recIdx(i), ref.Seq, ackAt)
-			t.c.ackedRelayed.Add(1)
-			if ref.Seq <= t.users[i].last {
-				t.c.outOfOrderAcks.Add(1)
-			} else {
-				t.users[i].last = ref.Seq
-			}
-		}
-		t.mu.Unlock()
+// settle accounts one acknowledged heartbeat.
+func (t *trunk) settle(e relaynet.PendingEntry, at time.Time) {
+	i := t.index[e.Ref.Src]
+	t.rec.Record(uint64(at.Sub(e.Sent) / time.Microsecond))
+	t.trec.Record(rec.EvAck, t.trecIdx[i], e.Ref.Seq, at)
+	t.c.ackedRelayed.Add(1)
+	t.mu.Lock()
+	u := &t.users[i]
+	stale := e.Ref.Seq <= u.last
+	if !stale {
+		u.last = e.Ref.Seq
+	}
+	t.mu.Unlock()
+	if stale {
+		t.c.outOfOrderAcks.Add(1)
 	}
 }
 
 // pendingCount returns how many heartbeats still await acknowledgement.
-func (t *trunk) pendingCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
-}
+func (t *trunk) pendingCount() int { return t.pending.Len() }
 
 // expireAll writes off every remaining pending heartbeat (end-of-run
 // drain).
-func (t *trunk) expireAll() {
-	now := time.Now()
-	t.mu.Lock()
-	n := len(t.pending)
-	// Sorted drain, same reason as collectExpired: trace records in
-	// canonical (user, seq) order rather than map order.
-	refs := make([]hbref, 0, n)
-	for ref := range t.pending {
-		refs = append(refs, ref)
-	}
-	sortRefs(refs)
-	for _, ref := range refs {
-		t.trec.Record(rec.EvTimeout, t.recIdx(ref.idx), ref.seq, now)
-	}
-	t.pending = make(map[hbref]int64)
-	if t.fellBack != nil {
-		t.fellBack = make(map[hbref]bool)
-	}
-	t.mu.Unlock()
-	t.c.timeoutRelayed.Add(uint64(n))
-}
+func (t *trunk) expireAll() { t.lost(t.pending.Drain(), time.Now()) }
 
 // close shuts every shard connection down; readers exit on the closed
 // conns.

@@ -177,13 +177,14 @@ type RelayAgent struct {
 	wg     sync.WaitGroup
 
 	// main-loop state (owned by run goroutine)
-	policy  *sched.Nagle
-	start   time.Time
-	seq     uint64
-	ownHB   *hbproto.Heartbeat
-	sources map[hbproto.Ref]*ueConn
-	ueConns map[*ueConn]struct{}
-	rng     *rand.Rand // backoff jitter; owned by run goroutine
+	policy    *sched.Nagle
+	start     time.Time
+	periodEnd time.Duration // policy time at which the current period ends
+	seq       uint64
+	ownHB     *hbproto.Heartbeat
+	sources   map[hbproto.Ref]*ueConn
+	ueConns   map[*ueConn]struct{}
+	rng       *rand.Rand // backoff jitter; owned by run goroutine
 	// ups maps shard ID -> live upstream connection (singleShard key in
 	// single-server mode). downUntil/backoffCur arm the per-shard redial
 	// backoff so flush never hammers a dead shard, and everDialed
@@ -731,35 +732,36 @@ func (r *RelayAgent) run() {
 	r.start = time.Now()
 	r.startPeriod()
 
-	periodTimer := time.NewTimer(r.cfg.Period)
-	defer periodTimer.Stop()
-	flushTimer := time.NewTimer(time.Hour)
-	r.armFlushTimer(flushTimer)
-	defer flushTimer.Stop()
+	// One timer serves both Algorithm 1 deadlines: it is armed at
+	// min(policy deadline, period end), and a firing at or past the period
+	// end flushes and opens the next period in the same step. The two must
+	// not be split: between them collection is closed, and a forward
+	// landing there would be rejected.
+	timer := time.NewTimer(time.Hour)
+	r.armTimer(timer)
+	defer timer.Stop()
 
 	// maxEventDrain bounds how many queued events one loop iteration may
-	// absorb before feedback is flushed and the timers get a look-in.
+	// absorb before feedback is flushed and the timer gets a look-in.
 	const maxEventDrain = 64
 
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-periodTimer.C:
+		case <-timer.C:
 			r.flush()
-			r.startPeriod()
-			periodTimer.Reset(r.cfg.Period)
-			r.armFlushTimer(flushTimer)
-		case <-flushTimer.C:
-			r.flush()
-			r.armFlushTimer(flushTimer)
+			if r.now() >= r.periodEnd {
+				r.startPeriod()
+			}
+			r.armTimer(timer)
 		case ev := <-r.events:
 			// Drain whatever else is already queued (bounded) before
 			// flushing feedback, so refs from several acks — one per
 			// shard in cluster mode — merge into one Feedback frame per
 			// UE instead of one write per ack.
 			for n := 0; ; n++ {
-				if !r.handleEvent(ev, flushTimer) {
+				if !r.handleEvent(ev, timer) {
 					return
 				}
 				if n >= maxEventDrain {
@@ -779,11 +781,11 @@ func (r *RelayAgent) run() {
 
 // handleEvent dispatches one main-loop event; false means the agent must
 // stop (single upstream unrecoverable).
-func (r *RelayAgent) handleEvent(ev relayEvent, flushTimer *time.Timer) bool {
+func (r *RelayAgent) handleEvent(ev relayEvent, timer *time.Timer) bool {
 	switch {
 	case ev.ueMsg != nil:
 		r.handleUE(ev.ueFrom, ev.ueMsg)
-		r.armFlushTimer(flushTimer)
+		r.armTimer(timer)
 	case ev.ueClosed != nil:
 		delete(r.ueConns, ev.ueClosed)
 		delete(r.pendingFB, ev.ueClosed)
@@ -805,29 +807,26 @@ func (r *RelayAgent) handleEvent(ev relayEvent, flushTimer *time.Timer) bool {
 	return true
 }
 
-// armFlushTimer points the flush timer at the policy's current deadline.
-func (r *RelayAgent) armFlushTimer(t *time.Timer) {
+// armTimer points the run loop's timer at min(policy deadline, period
+// end). Once a flush has closed collection only the period end remains.
+func (r *RelayAgent) armTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
 		}
 	}
-	at, ok := r.policy.Deadline()
-	if !ok {
-		t.Reset(time.Hour) // nothing to flush until the next period
-		return
+	at := r.periodEnd
+	if d, ok := r.policy.Deadline(); ok && d < at {
+		at = d
 	}
-	d := at - r.now()
-	if d < 0 {
-		d = 0
-	}
-	t.Reset(d)
+	t.Reset(max(at-r.now(), 0))
 }
 
 func (r *RelayAgent) startPeriod() {
 	r.seq++
 	now := r.now()
+	r.periodEnd = now + r.cfg.Period
 	r.policy.StartPeriod(now)
 	r.ownHB = &hbproto.Heartbeat{
 		Src: r.cfg.ID, Seq: r.seq, App: r.cfg.App,

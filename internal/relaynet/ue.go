@@ -129,7 +129,14 @@ type UEClientStats struct {
 	ViaRelay        int
 	Direct          int
 	FallbackResends int
-	FeedbackAcks    int
+	// FeedbackAcks counts heartbeats settled by relay feedback, ServerAcks
+	// those settled by a server ack on the direct path (direct sends and
+	// fallback resends), and Lost those that missed every attempt or never
+	// reached the wire. Each heartbeat lands in exactly one of the three;
+	// heartbeats still in flight at Shutdown land in none.
+	FeedbackAcks int
+	ServerAcks   int
+	Lost         int
 	// RelayReconnects counts successful relay (re)connections, including
 	// the initial one.
 	RelayReconnects int
@@ -153,11 +160,12 @@ type UEClient struct {
 	cfg UEClientConfig
 	ins ueInstruments
 
+	pending *Pending
+
 	mu      sync.Mutex
 	relay   net.Conn
 	direct  net.Conn
 	stats   UEClientStats
-	pending map[uint64]*time.Timer
 	seq     uint64
 	started bool
 	closed  bool
@@ -173,7 +181,7 @@ func NewUEClient(cfg UEClientConfig) (*UEClient, error) {
 	}
 	u := &UEClient{
 		cfg:     cfg,
-		pending: make(map[uint64]*time.Timer),
+		pending: NewPending(),
 		done:    make(chan struct{}),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -249,19 +257,43 @@ func (u *UEClient) dialOneRelay(addr string) bool {
 		_ = conn.Close()
 		return false
 	}
-	u.mu.Lock()
-	if u.closed || u.relay != nil {
-		u.mu.Unlock()
-		_ = conn.Close()
-		return u.relay != nil
+	if got := u.adopt(&u.relay, conn, u.feedbackAck); got != conn {
+		return got != nil
 	}
-	u.relay = conn
+	u.mu.Lock()
 	u.stats.RelayReconnects++
-	u.ins.dials.Inc()
-	u.wg.Add(1)
 	u.mu.Unlock()
-	go u.relayReader(conn)
+	u.ins.dials.Inc()
 	return true
+}
+
+// adopt caches a freshly dialed conn in *slot (the relay or direct link)
+// and starts its ack reader, which uncaches the link when it breaks. If the
+// client closed or another heartbeat cached a link first, conn is closed
+// and the cached link (nil once closed) is returned instead.
+func (u *UEClient) adopt(slot *net.Conn, conn net.Conn, settle func(PendingEntry, time.Time)) net.Conn {
+	u.mu.Lock()
+	cur := *slot
+	if u.closed {
+		cur = nil
+	} else if cur == nil {
+		cur, *slot = conn, conn
+		u.wg.Add(1)
+		go func() {
+			defer u.wg.Done()
+			_ = u.pending.ReadAcks(conn, settle)
+			u.mu.Lock()
+			if *slot == conn {
+				*slot = nil
+			}
+			u.mu.Unlock()
+		}()
+	}
+	u.mu.Unlock()
+	if cur != conn {
+		_ = conn.Close()
+	}
+	return cur
 }
 
 // Stats returns a snapshot of the counters.
@@ -280,9 +312,6 @@ func (u *UEClient) Shutdown() {
 	}
 	u.closed = true
 	close(u.done)
-	for _, t := range u.pending {
-		t.Stop()
-	}
 	if u.relay != nil {
 		_ = u.relay.Close()
 	}
@@ -348,17 +377,11 @@ func (u *UEClient) sendHeartbeat(seq uint64, app UEApp) {
 		u.mu.Unlock()
 	}
 
+	ref := hbproto.Ref{Src: hb.Src, Seq: hb.Seq}
+	timeout := u.feedbackTimeout(app.Expiry)
 	if relay != nil {
-		// Register the pending entry before transmitting: on loopback the
-		// relay may flush, get the server ack and send feedback faster
-		// than this goroutine would otherwise arm the timer.
-		u.mu.Lock()
-		if !u.closed {
-			u.pending[seq] = time.AfterFunc(u.feedbackTimeout(app.Expiry), func() {
-				u.onFeedbackTimeout(seq, hb)
-			})
-		}
-		u.mu.Unlock()
+		u.pending.Track(ref, hb, time.Now(), timeout, true)
+		u.armExpiry(timeout)
 		if err := hbproto.WriteFrame(relay, hb); err == nil {
 			trace.Emit(u.cfg.Tracer, trace.Event{
 				AtMs: time.Now().UnixMilli(), Device: u.cfg.ID, Kind: trace.KindD2DSend,
@@ -370,26 +393,62 @@ func (u *UEClient) sendHeartbeat(seq uint64, app UEApp) {
 			u.ins.viaRelay.Inc()
 			return
 		}
-		// The relay link is dead: cancel the pending entry, drop the link
-		// and fall through to direct.
+		// The relay link is dead: drop the link and fall through to
+		// direct, unless feedback already settled the heartbeat.
 		u.mu.Lock()
-		if t, ok := u.pending[seq]; ok {
-			t.Stop()
-			delete(u.pending, seq)
-		}
 		u.relay = nil
 		u.mu.Unlock()
 		_ = relay.Close()
+		if !u.pending.Forget(ref) {
+			return
+		}
 	}
-	u.sendDirect(hb, false)
+	u.pending.Track(ref, hb, time.Now(), timeout, false)
+	u.armExpiry(timeout)
+	if !u.sendDirect(hb, false) && u.pending.Forget(ref) {
+		u.mu.Lock()
+		u.stats.Lost++
+		u.mu.Unlock()
+	}
+}
+
+// armExpiry judges the pending heartbeats once timeout has passed.
+func (u *UEClient) armExpiry(timeout time.Duration) {
+	time.AfterFunc(timeout, u.expire)
+}
+
+// expire runs when a heartbeat's feedback timeout passes: a first miss on
+// the relay path resends directly over "cellular" and waits one more
+// timeout; a second miss, or a miss on the direct path, loses the
+// heartbeat.
+func (u *UEClient) expire() {
+	u.mu.Lock()
+	if u.closed {
+		u.mu.Unlock()
+		return
+	}
+	u.wg.Add(1)
+	u.mu.Unlock()
+	defer u.wg.Done()
+	resend, lost := u.pending.Expire(time.Now())
+	if len(lost) > 0 {
+		u.mu.Lock()
+		u.stats.Lost += len(lost)
+		u.mu.Unlock()
+	}
+	for _, e := range resend {
+		u.armExpiry(e.Deadline.Sub(e.Sent))
+		u.sendDirect(e.HB, true)
+	}
 }
 
 // sendDirect transmits straight to the server, lazily maintaining one
-// direct connection. A write failure drops the cached connection and
-// retries once with a freshly resolved dial: the cached conn may point at a
-// presence shard that has since left the cluster, and a single stale
-// connection must not cost the heartbeat its fallback delivery.
-func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
+// direct connection, and reports whether the heartbeat hit the wire. A
+// write failure drops the cached connection and retries once with a
+// freshly resolved dial: the cached conn may point at a presence shard that
+// has since left the cluster, and a single stale connection must not cost
+// the heartbeat its fallback delivery.
+func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) bool {
 	var conn net.Conn
 	for attempt := 0; attempt < 2; attempt++ {
 		u.mu.Lock()
@@ -398,23 +457,16 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 		if conn == nil {
 			addr := u.cfg.serverAddr()
 			if addr == "" {
-				return
+				return false
 			}
 			var err error
 			conn, err = u.cfg.dial("tcp", addr)
 			if err != nil {
-				return
+				return false
 			}
-			u.mu.Lock()
-			if u.closed {
-				u.mu.Unlock()
-				_ = conn.Close()
-				return
+			if conn = u.adopt(&u.direct, conn, u.serverAck); conn == nil {
+				return false
 			}
-			u.direct = conn
-			u.mu.Unlock()
-			u.wg.Add(1)
-			go u.directReader(conn)
 		}
 		if err := hbproto.WriteFrame(conn, hb); err == nil {
 			break
@@ -426,94 +478,39 @@ func (u *UEClient) sendDirect(hb *hbproto.Heartbeat, fallback bool) {
 		u.mu.Unlock()
 		_ = conn.Close()
 		if attempt == 1 {
-			return
+			return false
 		}
 	}
-	kind := trace.KindDirectSend
+	kind, count, ins := trace.KindDirectSend, &u.stats.Direct, u.ins.direct
 	if fallback {
-		kind = trace.KindFallback
+		kind, count, ins = trace.KindFallback, &u.stats.FallbackResends, u.ins.fallbacks
 	}
 	trace.Emit(u.cfg.Tracer, trace.Event{
 		AtMs: time.Now().UnixMilli(), Device: u.cfg.ID, Kind: kind,
 		App: hb.App, Seq: hb.Seq,
 	})
 	u.mu.Lock()
-	if fallback {
-		u.stats.FallbackResends++
-	} else {
-		u.stats.Direct++
-	}
+	*count++
 	u.mu.Unlock()
-	if fallback {
-		u.ins.fallbacks.Inc()
-	} else {
-		u.ins.direct.Inc()
-	}
+	ins.Inc()
+	return true
 }
 
-// onFeedbackTimeout fires when the relay never confirmed delivery: resend
-// directly over "cellular".
-func (u *UEClient) onFeedbackTimeout(seq uint64, hb *hbproto.Heartbeat) {
+// feedbackAck settles a heartbeat by relay feedback.
+func (u *UEClient) feedbackAck(e PendingEntry, _ time.Time) {
 	u.mu.Lock()
-	_, ok := u.pending[seq]
-	if ok {
-		delete(u.pending, seq)
-	}
-	closed := u.closed
+	u.stats.FeedbackAcks++
 	u.mu.Unlock()
-	if !ok || closed {
-		return
-	}
-	u.sendDirect(hb, true)
+	u.ins.acks.Inc()
+	trace.Emit(u.cfg.Tracer, trace.Event{
+		AtMs: time.Now().UnixMilli(), Device: u.cfg.ID,
+		Kind: trace.KindAck, Seq: e.Ref.Seq,
+	})
 }
 
-// relayReader consumes feedback from the relay. Frames are processed
-// inline, so the FrameReader's reused message values never escape the
-// loop iteration.
-func (u *UEClient) relayReader(conn net.Conn) {
-	defer u.wg.Done()
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		msg, err := fr.Next()
-		if err != nil {
-			u.mu.Lock()
-			if u.relay == conn {
-				u.relay = nil
-			}
-			u.mu.Unlock()
-			return
-		}
-		fb, ok := msg.(*hbproto.Feedback)
-		if !ok {
-			continue
-		}
-		u.mu.Lock()
-		for _, ref := range fb.Refs {
-			if ref.Src != u.cfg.ID {
-				continue
-			}
-			if t, ok := u.pending[ref.Seq]; ok {
-				t.Stop()
-				delete(u.pending, ref.Seq)
-				u.stats.FeedbackAcks++
-				u.ins.acks.Inc()
-				trace.Emit(u.cfg.Tracer, trace.Event{
-					AtMs: time.Now().UnixMilli(), Device: u.cfg.ID,
-					Kind: trace.KindAck, Seq: ref.Seq,
-				})
-			}
-		}
-		u.mu.Unlock()
-	}
-}
-
-// directReader drains server acks on the direct connection.
-func (u *UEClient) directReader(conn net.Conn) {
-	defer u.wg.Done()
-	fr := hbproto.NewFrameReader(conn)
-	for {
-		if _, err := fr.Next(); err != nil {
-			return
-		}
-	}
+// serverAck settles a heartbeat by a server ack on the direct path.
+func (u *UEClient) serverAck(PendingEntry, time.Time) {
+	u.mu.Lock()
+	u.stats.ServerAcks++
+	u.mu.Unlock()
 }
