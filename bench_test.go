@@ -447,14 +447,14 @@ func BenchmarkTraceAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkCityScale is the macro-benchmark behind the "city day in
-// wall-clock minutes" figure: 10k mixed-mobility devices through the full
-// framework for two heartbeat periods (the short preset; `make bench-json`
-// records the day run). b.N iterations rebuild and rerun the whole city.
+// BenchmarkCityScale is the city macro-benchmark: 10k mixed-mobility
+// devices through the full framework for two heartbeat periods on the
+// tile kernel (the short preset on one tile; perfbench's `city` workload
+// times the 16-tile run). b.N iterations rebuild and rerun the whole city.
 func BenchmarkCityScale(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := experiments.RunCity(experiments.CityShort())
+		_, stats, err := experiments.RunCityParallel(experiments.CityParallelShort(1))
 		if err != nil {
 			b.Fatal(err)
 		}

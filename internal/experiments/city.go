@@ -45,14 +45,6 @@ func CityShort() CityConfig {
 	}
 }
 
-// CityDay is the headline run: 10k devices for 24 simulated hours, the
-// "city day in wall-clock minutes" figure in EXPERIMENTS.md.
-func CityDay() CityConfig {
-	cfg := CityShort()
-	cfg.Duration = 24 * time.Hour
-	return cfg
-}
-
 func (c CityConfig) validate() error {
 	if c.Devices <= 0 {
 		return fmt.Errorf("experiments: city devices must be positive, got %d", c.Devices)
@@ -88,11 +80,12 @@ type cityPopulation struct {
 	ues    []core.UESpec
 }
 
-// buildCityPopulation draws the city roster from rng. The draw sequence
-// is the contract here: the sequential kernel passes its scheduler RNG
-// (preserving PR 5's golden digests), the parallel kernel passes a fresh
-// rand.New(rand.NewSource(cfg.Seed)) — either way the same rng state
-// yields a bit-identical roster.
+// buildCityPopulation draws the city roster from rng; RunCityParallel
+// passes a fresh rand.New(rand.NewSource(cfg.Seed)), so a seed yields a
+// bit-identical roster. The population mixes mobility classes
+// deterministically: among UEs, 60 % sit still, 25 % walk (0.5–2 m/s with
+// pauses), 10 % loiter on short orbits and 5 % ride in vehicles
+// (8–15 m/s); relays are 80 % parked and 20 % walking.
 func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error) {
 	profile := stdProfile()
 	area := geo.Square(cfg.Side)
@@ -155,38 +148,9 @@ func buildCityPopulation(cfg CityConfig, rng *rand.Rand) (cityPopulation, error)
 	return pop, nil
 }
 
-// CityScenario builds the configured city. The population mixes mobility
-// classes deterministically: among UEs, 60 % sit still, 25 % walk
-// (0.5–2 m/s with pauses), 10 % loiter on short orbits and 5 % ride in
-// vehicles (8–15 m/s); relays are 80 % parked and 20 % walking.
-func CityScenario(cfg CityConfig) (*core.Simulation, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sim, err := core.New(core.Options{Seed: cfg.Seed, Duration: cfg.Duration, DisableD2D: cfg.DisableD2D})
-	if err != nil {
-		return nil, err
-	}
-	pop, err := buildCityPopulation(cfg, sim.Scheduler().Rand())
-	if err != nil {
-		return nil, err
-	}
-	for i := range pop.relays {
-		if _, err := sim.AddRelay(pop.relays[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i := range pop.ues {
-		if _, err := sim.AddUE(pop.ues[i]); err != nil {
-			return nil, err
-		}
-	}
-	return sim, nil
-}
-
-// CityStats summarizes a city run for the benchmark harness. Wall-clock
-// timing is the caller's concern (the simulation layer deals only in virtual
-// time); Events lets it derive events/sec and ns/event.
+// CityStats summarizes a city run. Wall-clock timing is the caller's
+// concern (the simulation layer deals only in virtual time); Events lets it
+// derive events/sec and ns/event.
 type CityStats struct {
 	Devices    int
 	Relays     int
@@ -196,28 +160,4 @@ type CityStats struct {
 	L3Messages int
 	Deliveries int
 	OnTimeRate float64
-}
-
-// RunCity builds and runs the configured city, returning the full report
-// plus the kernel-level stats the bench harness records.
-func RunCity(cfg CityConfig) (*core.Report, CityStats, error) {
-	sim, err := CityScenario(cfg)
-	if err != nil {
-		return nil, CityStats{}, err
-	}
-	rep, err := sim.Run()
-	if err != nil {
-		return nil, CityStats{}, err
-	}
-	numRelays := cityRelayCount(cfg)
-	return rep, CityStats{
-		Devices:    cfg.Devices,
-		Relays:     numRelays,
-		UEs:        cfg.Devices - numRelays,
-		Events:     sim.Scheduler().Fired(),
-		SimSeconds: cfg.Duration.Seconds(),
-		L3Messages: rep.TotalL3Messages,
-		Deliveries: rep.Deliveries,
-		OnTimeRate: rep.OnTimeRate(),
-	}, nil
 }

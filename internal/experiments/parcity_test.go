@@ -252,20 +252,25 @@ func TestCityParallelHorizonCutWholeRun(t *testing.T) {
 }
 
 func TestCityParallelValidation(t *testing.T) {
-	cfg := parGoldenConfig(1)
-	cfg.Tiles = 0
-	if _, _, err := RunCityParallel(cfg); err == nil {
-		t.Error("tiles=0 accepted")
+	bad := []struct {
+		name   string
+		mutate func(*ParallelCityConfig)
+	}{
+		{"zero devices", func(c *ParallelCityConfig) { c.Devices = 0 }},
+		{"zero relay fraction", func(c *ParallelCityConfig) { c.RelayFraction = 0 }},
+		{"all relays", func(c *ParallelCityConfig) { c.RelayFraction = 1 }},
+		{"negative side", func(c *ParallelCityConfig) { c.Side = -1 }},
+		{"zero duration", func(c *ParallelCityConfig) { c.Duration = 0 }},
+		{"zero capacity", func(c *ParallelCityConfig) { c.Capacity = 0 }},
+		{"zero tiles", func(c *ParallelCityConfig) { c.Tiles = 0 }},
+		{"negative window", func(c *ParallelCityConfig) { c.Window = -time.Second }},
 	}
-	cfg = parGoldenConfig(1)
-	cfg.Window = -time.Second
-	if _, _, err := RunCityParallel(cfg); err == nil {
-		t.Error("negative window accepted")
-	}
-	cfg = parGoldenConfig(1)
-	cfg.Devices = 0
-	if _, _, err := RunCityParallel(cfg); err == nil {
-		t.Error("zero devices accepted")
+	for _, b := range bad {
+		cfg := parGoldenConfig(1)
+		b.mutate(&cfg)
+		if _, _, err := RunCityParallel(cfg); err == nil {
+			t.Errorf("%s accepted", b.name)
+		}
 	}
 }
 

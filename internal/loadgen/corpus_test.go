@@ -165,3 +165,24 @@ func TestCorpusCheck(t *testing.T) {
 		t.Fatalf("orphan ack at %v, want 457.04ms", v.Event.At)
 	}
 }
+
+// TestCorpusParity replays the committed fixture through the simulator and
+// the live loopback stack and bounds the gap between their delivery ratios:
+// a change that makes one side drop heartbeats the other delivers fails
+// here.
+func TestCorpusParity(t *testing.T) {
+	tl := loadCorpus(t)
+	sim, err := experiments.ReplaySim(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := ReplayLive(tl, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rec.NewParityReport(tl, tl.RecordedMetrics(), sim, live)
+	if gap := p.DeliveryGap(); gap > 0.10 {
+		t.Fatalf("sim-vs-live delivery gap %.4f exceeds 0.10 (recorded %.4f, sim %.4f, live %.4f)",
+			gap, p.Recorded.DeliveryRatio, p.Sim.DeliveryRatio, p.Live.DeliveryRatio)
+	}
+}
