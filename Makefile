@@ -35,12 +35,15 @@ race:
 # and 4 CPUs, without -race — the race runtime's slowdown hides the
 # interleavings that lose updates on real cores. From internal/loadgen only
 # the fleet stress test runs (about 3 min on 2 CPUs): it is the one that
-# caught the relay's period-rollover gap. internal/relaynet stays out: one
-# pass takes about 10 s, so 60 would take about 10 min.
+# caught the relay's period-rollover gap. From internal/relaynet only the
+# relay upstream tests run (Start's dial, redial backoff, a server outage:
+# the path every flush dials through); a full relaynet pass takes about
+# 10 s, so 60 of them would take about 10 min.
 STRESS_PKGS := ./internal/telemetry ./internal/simtime ./internal/experiments ./internal/core ./internal/device ./internal/cluster
 stress:
 	$(GO) test -count=20 -cpu 1,2,4 $(STRESS_PKGS)
 	$(GO) test -count=20 -cpu 1,2,4 -run TestConcurrentFleetStress ./internal/loadgen
+	$(GO) test -count=20 -cpu 1,2,4 -run 'StartFails|Backoff|Outage' ./internal/relaynet
 
 # One benchmark iteration per experiment: the reproduction harness.
 bench:

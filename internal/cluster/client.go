@@ -96,7 +96,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // NewStaticClient builds a client pinned to a fixed config — no router, no
 // polling. In-process wiring (tests, the launcher's own shards) and
-// single-server deployments use it; Refresh is a no-op.
+// single-server deployments (NewOneNodeClient) use it; Refresh is a no-op.
 func NewStaticClient(cfg Config, vnodes int) (*Client, error) {
 	view, err := NewView(cfg, vnodes)
 	if err != nil {
@@ -105,6 +105,14 @@ func NewStaticClient(cfg Config, vnodes int) (*Client, error) {
 	c := &Client{done: make(chan struct{})}
 	c.view.Store(view)
 	return c, nil
+}
+
+// NewOneNodeClient is the static view of one presence server: a single
+// node whose ID is its address. Relays and load generators without a
+// router route through it, so one server is a one-node cluster to them.
+// One virtual node suffices: every key has the same owner regardless.
+func NewOneNodeClient(addr string) (*Client, error) {
+	return NewStaticClient(Config{Nodes: []Node{{ID: addr, Addr: addr}}}, 1)
 }
 
 // View returns the current routing view. Never nil after construction.

@@ -321,6 +321,19 @@ func TestClientStatic(t *testing.T) {
 	if !ok || n.ID != "only" {
 		t.Fatalf("owner = %+v, %v", n, ok)
 	}
+
+	// One server is a one-node view keyed by its address.
+	one, err := NewOneNodeClient("127.0.0.1:7400")
+	if err != nil {
+		t.Fatalf("NewOneNodeClient: %v", err)
+	}
+	n, ok = one.View().Owner("anything")
+	if !ok || n.ID != "127.0.0.1:7400" || n.Addr != "127.0.0.1:7400" {
+		t.Fatalf("one-node owner = %+v, %v", n, ok)
+	}
+	if _, err := NewOneNodeClient(""); err == nil {
+		t.Fatal("one-node client accepted an empty address")
+	}
 }
 
 // TestConfigValidation covers config error paths and JSON round-trip.

@@ -61,11 +61,13 @@ type Config struct {
 	// report.
 	ServerAddr string
 	// ClusterAddr targets a presence cluster through its router (base URL
-	// or host:port). Direct UEs then resolve their owning shard through
-	// the consistent-hash ring on every dial, relays fan each batch out
-	// per shard, relayed UEs fall back to their owner on ack timeout, and
-	// reports embed a per-shard metrics scrape. Mutually exclusive with
-	// ServerAddr.
+	// or host:port) instead of one server. Every run routes through a
+	// view — direct UEs resolve their owner on every dial, relays and
+	// trunks split each batch per owner, relayed UEs fall back to their
+	// owner on ack timeout — and a single server is a one-node view; the
+	// router's ring spreads that routing over shards. Reports then embed
+	// the ring epoch, per-shard sends and a per-shard metrics scrape.
+	// Mutually exclusive with ServerAddr.
 	ClusterAddr string
 	// Trunks switches the fleet to trunked virtual relays: instead of one
 	// socket per UE, the fleet is multiplexed UEs/Trunks-per-connection
@@ -154,8 +156,7 @@ type fleetCounters struct {
 	dialErrors, writeErrors       atomic.Uint64
 	outOfOrderAcks                atomic.Uint64
 	// fallbackResends counts relayed heartbeats re-sent directly to their
-	// owning shard after the relay path failed to confirm them in time
-	// (cluster mode only).
+	// owning node after the relay path failed to confirm them in time.
 	fallbackResends atomic.Uint64
 	// trunkWrites/trunkFrames account the coalesced trunk uplink: Batch
 	// frames composed vs conn.Write calls issued. frames − writes is the
@@ -173,7 +174,7 @@ type loadUnit interface {
 	close()
 }
 
-// shardCounter tallies sends per target shard in cluster mode.
+// shardCounter tallies sends per target node.
 type shardCounter struct {
 	mu sync.Mutex
 	m  map[string]uint64
@@ -207,9 +208,8 @@ func (s *shardCounter) snapshot() map[string]uint64 {
 // Runner drives one configured load-generation run.
 type Runner struct {
 	cfg        Config
-	server     *relaynet.Server // nil when targeting an external server
-	serverAddr string
-	cluster    *cluster.Client // non-nil in cluster mode
+	server     *relaynet.Server // nil when targeting an external server or cluster
+	cluster    *cluster.Client  // the upstream view, set by connect
 	relays     []*relaynet.RelayAgent
 	units      []loadUnit
 	counters   fleetCounters
@@ -319,27 +319,15 @@ func clusterURL(addr string) string {
 // load for Duration, drain in-flight heartbeats, tear everything down and
 // return the final report.
 func (r *Runner) Run() (Report, error) {
-	if r.cfg.ClusterAddr != "" {
-		// Constructing the client performs the initial config fetch, so an
-		// unreachable router aborts the run up front.
-		cl, err := cluster.NewClient(cluster.ClientConfig{
-			RouterURL: clusterURL(r.cfg.ClusterAddr),
-			Telemetry: r.cfg.Telemetry,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		r.cluster = cl
-		defer cl.Close()
-	}
-	if err := r.startServer(); err != nil {
-		return Report{}, err
-	}
 	defer func() {
 		if r.server != nil {
 			r.server.Shutdown()
 		}
 	}()
+	if err := r.connect(); err != nil {
+		return Report{}, err
+	}
+	defer r.cluster.Close()
 	if err := r.startRelays(); err != nil {
 		return Report{}, err
 	}
@@ -408,15 +396,29 @@ func (r *Runner) Run() (Report, error) {
 	return rep, nil
 }
 
-// startServer spawns the in-process presence server unless an external
-// address was configured.
-func (r *Runner) startServer() error {
-	if r.cluster != nil {
-		// Cluster mode has no single server: targets resolve through the
-		// ring per key. The client's initial fetch already proved the
-		// router reachable and the config routable.
-		return nil
+// connect sets the run's upstream view: the router's cluster config, or a
+// one-node view of the single server.
+func (r *Runner) connect() (err error) {
+	if r.cfg.ClusterAddr != "" {
+		// Constructing the client performs the initial config fetch, so an
+		// unreachable router aborts the run up front.
+		r.cluster, err = cluster.NewClient(cluster.ClientConfig{
+			RouterURL: clusterURL(r.cfg.ClusterAddr),
+			Telemetry: r.cfg.Telemetry,
+		})
+		return err
 	}
+	addr, err := r.startServer()
+	if err != nil {
+		return err
+	}
+	r.cluster, err = cluster.NewOneNodeClient(addr)
+	return err
+}
+
+// startServer supplies the single server's address: the configured
+// external one, or an in-process presence server's.
+func (r *Runner) startServer() (string, error) {
 	if r.cfg.ServerAddr != "" {
 		// Probe the external server before spinning up the fleet: an
 		// unreachable target should abort the run with an error, not burn
@@ -424,11 +426,10 @@ func (r *Runner) startServer() error {
 		// zero-heartbeat "result" as if the measurement succeeded.
 		probe, err := net.DialTimeout("tcp", r.cfg.ServerAddr, 2*time.Second)
 		if err != nil {
-			return fmt.Errorf("loadgen: server %s unreachable: %w", r.cfg.ServerAddr, err)
+			return "", fmt.Errorf("loadgen: server %s unreachable: %w", r.cfg.ServerAddr, err)
 		}
 		_ = probe.Close()
-		r.serverAddr = r.cfg.ServerAddr
-		return nil
+		return r.cfg.ServerAddr, nil
 	}
 	s := relaynet.NewServer()
 	if r.cfg.Tracer != nil {
@@ -438,11 +439,10 @@ func (r *Runner) startServer() error {
 		s.SetTelemetry(r.cfg.Telemetry)
 	}
 	if err := s.Start("127.0.0.1:0"); err != nil {
-		return err
+		return "", err
 	}
 	r.server = s
-	r.serverAddr = s.Addr()
-	return nil
+	return s.Addr(), nil
 }
 
 func (r *Runner) startRelays() error {
@@ -475,7 +475,7 @@ func (r *Runner) startRelays() error {
 		if err != nil {
 			return err
 		}
-		if err := ra.Start("127.0.0.1:0", r.serverAddr); err != nil {
+		if err := ra.Start("127.0.0.1:0", ""); err != nil {
 			return err
 		}
 		r.relays = append(r.relays, ra)
@@ -483,14 +483,11 @@ func (r *Runner) startRelays() error {
 	return nil
 }
 
-// ownerAddr returns a resolver mapping a client ID to its owning shard's
-// hbproto address under the cluster's current ring epoch.
+// ownerAddr returns a resolver mapping a client ID to its owning node's
+// hbproto address under the current view.
 func (r *Runner) ownerAddr(id string) func() string {
 	return func() string {
-		node, ok := r.cluster.View().Owner(id)
-		if !ok {
-			return ""
-		}
+		node, _ := r.cluster.View().Owner(id) // a view's ring owns every key
 		return node.Addr
 	}
 }
@@ -523,6 +520,7 @@ func (r *Runner) buildFleet() {
 			readers: &r.readers,
 			trec:    r.cfg.Recorder,
 		}
+		u.resolve = r.ownerAddr(u.id)
 		relayIdx := -1
 		path := rec.PathDirect
 		if relayed {
@@ -537,22 +535,10 @@ func (r *Runner) buildFleet() {
 			u.dial = r.cfg.Faults.Dial
 		}
 		if relayed {
-			u.addr = r.relays[i%len(r.relays)].Addr()
+			u.relayAddr = r.relays[i%len(r.relays)].Addr()
 			u.rec = r.histRelay.Recorder()
-			if r.cluster != nil {
-				// Relayed UEs in a cluster fall back to their owning
-				// shard when the relay path misses the ack window —
-				// the load-fleet analog of the UEClient fallback that
-				// keeps reshards lossless.
-				u.resolve = r.ownerAddr(u.id)
-				u.fallback = true
-			}
 		} else {
-			u.addr = r.serverAddr
 			u.rec = r.histDirect.Recorder()
-			if r.cluster != nil {
-				u.resolve = r.ownerAddr(u.id)
-			}
 		}
 		r.units = append(r.units, u)
 	}
@@ -575,24 +561,22 @@ func (r *Runner) buildTrunks() {
 		}
 		p := r.cfg.Profiles[ti%len(r.cfg.Profiles)]
 		t := &trunk{
-			id:       fmt.Sprintf("loadtrunk-%04d", ti),
-			app:      p.Name,
-			addr:     r.serverAddr,
-			period:   r.scale(p.Period),
-			expiry:   r.scale(p.Expiry()),
-			pad:      p.Size,
-			timeout:  r.ackTimeout,
-			rec:      r.histRelay.Recorder(),
-			c:        &r.counters,
-			dial:     net.Dial,
-			cluster:  r.cluster,
-			shards:   &r.shardSent,
-			readers:  &r.readers,
-			users:    make([]tuser, count),
-			index:    make(map[string]int, count),
-			fallback: r.cluster != nil,
-			pending:  relaynet.NewPending(),
-			conns:    make(map[string]net.Conn),
+			id:      fmt.Sprintf("loadtrunk-%04d", ti),
+			app:     p.Name,
+			period:  r.scale(p.Period),
+			expiry:  r.scale(p.Expiry()),
+			pad:     p.Size,
+			timeout: r.ackTimeout,
+			rec:     r.histRelay.Recorder(),
+			c:       &r.counters,
+			dial:    net.Dial,
+			cluster: r.cluster,
+			shards:  &r.shardSent,
+			readers: &r.readers,
+			users:   make([]tuser, count),
+			index:   make(map[string]int, count),
+			pending: relaynet.NewPending(),
+			conns:   make(map[string]net.Conn),
 		}
 		if r.cfg.Faults != nil {
 			t.dial = r.cfg.Faults.Dial
@@ -653,10 +637,10 @@ func (r *Runner) arrivalWindow() time.Duration {
 }
 
 // drain waits for in-flight heartbeats to be acknowledged, then writes off
-// whatever is left as timeouts. Sweeping inside the wait matters in cluster
-// mode: a pending heartbeat whose relay path died mid-reshard only gets its
-// direct fallback resend from the sweep, so a drain that merely polled
-// counts would sit out the timeout and report the heartbeat lost.
+// whatever is left as timeouts. Sweeping inside the wait matters: a pending
+// heartbeat whose relay path failed (a rejected forward, a reshard) only
+// gets its direct fallback resend from the sweep, so a drain that merely
+// polled counts would sit out the timeout and report the heartbeat lost.
 func (r *Runner) drain() {
 	deadline := time.Now().Add(r.ackTimeout + 500*time.Millisecond)
 	for time.Now().Before(deadline) {
@@ -680,33 +664,30 @@ func (r *Runner) drain() {
 // regardless of outstanding acknowledgements, tracking each send until the
 // matching ack/feedback ref returns or the timeout writes it off.
 type vue struct {
-	id      string
-	app     string
-	addr    string
-	period  time.Duration
-	expiry  time.Duration
-	pad     int
-	relayed bool
-	timeout time.Duration
-	rec     *telemetry.Recorder
-	trec    *rec.Recorder // trace recorder; nil-safe
-	tidx    int           // this UE's trace client index (-1 when unrecorded)
-	c       *fleetCounters
-	dial    func(network, addr string) (net.Conn, error)
-	readers *sync.WaitGroup
-	// resolve maps this UE to its owning shard's hbproto address in cluster
-	// mode: the primary target for direct UEs (re-resolved on every dial, so
-	// reshards redirect the next connection), the fallback target for
-	// relayed ones.
+	id        string
+	app       string
+	relayAddr string // the relay relayed UEs register with
+	period    time.Duration
+	expiry    time.Duration
+	pad       int
+	relayed   bool
+	timeout   time.Duration
+	rec       *telemetry.Recorder
+	trec      *rec.Recorder // trace recorder; nil-safe
+	tidx      int           // this UE's trace client index (-1 when unrecorded)
+	c         *fleetCounters
+	dial      func(network, addr string) (net.Conn, error)
+	readers   *sync.WaitGroup
+	// resolve maps this UE to its owning node's hbproto address under the
+	// current view: the primary target for direct UEs (re-resolved on
+	// every dial, so reshards redirect the next connection), the fallback
+	// target for relayed ones.
 	resolve func() string
-	// fallback gives each heartbeat one direct resend to the owning shard
-	// when the relay path misses the ack window (relayed cluster UEs).
-	fallback bool
-	pending  *relaynet.Pending
+	pending *relaynet.Pending
 
 	mu     sync.Mutex
 	conn   net.Conn
-	dconn  net.Conn // fallback conn to the owning shard (relayed cluster UEs)
+	dconn  net.Conn // fallback conn to the owning node (relayed UEs)
 	seq    uint64
 	last   uint64 // highest acknowledged seq
 	closed bool
@@ -756,7 +737,9 @@ func (u *vue) tick() {
 		Origin: now, Expiry: u.expiry, Pad: u.pad,
 	}
 	ref := hbproto.Ref{Src: u.id, Seq: seq}
-	u.pending.Track(ref, hb, now, u.timeout, u.fallback)
+	// A relayed heartbeat gets one direct resend when the relay path
+	// misses the ack window.
+	u.pending.Track(ref, hb, now, u.timeout, u.relayed)
 	// A failed write is forgotten unless an ack already settled it: then
 	// the heartbeat got through.
 	if !u.write(conn, hb) && u.pending.Forget(ref) {
@@ -783,8 +766,8 @@ func (u *vue) write(conn net.Conn, hb *hbproto.Heartbeat) bool {
 // ensureConn returns the live primary or fallback connection, dialing when
 // none exists. Relayed UEs register on the primary path, since relays
 // deliver feedback only to registered UE connections. Every other dial
-// re-resolves the owning shard in cluster mode, so a reshard redirects the
-// next connection.
+// re-resolves the owning node, so a reshard redirects the next connection
+// and a fallback resend never goes through the relay.
 func (u *vue) ensureConn(fallback bool) net.Conn {
 	slot := &u.conn
 	if fallback {
@@ -798,13 +781,9 @@ func (u *vue) ensureConn(fallback bool) net.Conn {
 	}
 
 	register := u.relayed && !fallback
-	addr := u.addr
-	if !register && u.resolve != nil {
-		if a := u.resolve(); a != "" {
-			addr = a
-		} else if fallback {
-			return nil // never resend through the relay
-		}
+	addr := u.relayAddr
+	if !register {
+		addr = u.resolve()
 	}
 	conn, err := u.dial("tcp", addr)
 	if err != nil {
@@ -871,11 +850,12 @@ func (u *vue) settle(e relaynet.PendingEntry, at time.Time) {
 	}
 }
 
-// sweep judges sends past the ack timeout. Relayed cluster UEs get one
-// more chance first: the heartbeat is re-sent directly to its owning shard
-// (resolved through the current ring epoch) with a fresh ack window, and
-// only a second miss counts as a timeout — mirroring the UEClient
-// feedback-timeout fallback that keeps reshards lossless.
+// sweep judges sends past the ack timeout. Relayed UEs get one more
+// chance first: the heartbeat is re-sent directly to its owning node
+// (resolved through the current view) with a fresh ack window, and only a
+// second miss counts as a timeout — mirroring the UEClient
+// feedback-timeout fallback that keeps rejected forwards and reshards
+// lossless.
 func (u *vue) sweep(now time.Time) {
 	resend, lost := u.pending.Expire(now)
 	u.lost(lost, now)

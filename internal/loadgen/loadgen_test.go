@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"d2dhb/internal/hbmsg"
+	"d2dhb/internal/rec"
 )
 
 // fastProfile is a compressed app profile for short test runs. The 3×
@@ -210,6 +211,49 @@ func TestConcurrentFleetStress(t *testing.T) {
 	}
 	if rep.Relay == nil || rep.Relay.Forwarded == 0 {
 		t.Fatalf("relays idle: %+v", rep.Relay)
+	}
+}
+
+// TestRelayedFleetFallbackSingleServer overloads the relay of a
+// single-server fleet: at capacity 1 it collects one forward per period
+// and rejects the rest as closed, so those heartbeats must reach the
+// server through their fallback resend instead of timing out — and the
+// recorded trace must still end every send in exactly one outcome.
+func TestRelayedFleetFallbackSingleServer(t *testing.T) {
+	recorder := rec.NewRecorder()
+	r, err := New(Config{
+		UEs:           20,
+		Relays:        1,
+		RelayRatio:    1,
+		RelayCapacity: 1,
+		Profiles:      []hbmsg.AppProfile{fastProfile(100 * time.Millisecond)},
+		Duration:      800 * time.Millisecond,
+		AckTimeout:    300 * time.Millisecond,
+		Recorder:      recorder,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SentRelayed == 0 || rep.Relay == nil || rep.Relay.Rejected == 0 {
+		t.Fatalf("relay never rejected a forward: %+v", rep.Relay)
+	}
+	if rep.FallbackResends == 0 {
+		t.Errorf("no fallback resends after %d relay rejects", rep.Relay.Rejected)
+	}
+	if rep.Timeouts != 0 {
+		t.Errorf("rejected forwards timed out instead of falling back: timeouts=%d fallbacks=%d",
+			rep.Timeouts, rep.FallbackResends)
+	}
+	tl, err := recorder.Timeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := rec.Check(tl); len(vs) > 0 {
+		t.Fatalf("recorded trace breaks %d outcome rules, first %v", len(vs), vs[0])
 	}
 }
 

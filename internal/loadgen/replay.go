@@ -28,15 +28,16 @@ import (
 // ReplayOptions parameterizes one live replay.
 type ReplayOptions struct {
 	// ServerAddr targets an existing presence server. Empty spawns an
-	// in-process relaynet.Server on loopback.
+	// in-process relaynet.Server on loopback. The replay routes through a
+	// one-node view of it.
 	ServerAddr string
 	// ClusterAddr targets a cluster instead of a single server: the
 	// router's base URL (e.g. "http://127.0.0.1:7590"). The replay
 	// resolves every client's owning shard through the epoch config —
 	// direct clients dial their owner, trunk groups partition each batch
 	// per shard under one ring view — so a trace recorded against a
-	// cluster replays through the same routing function. Overrides
-	// ServerAddr.
+	// cluster replays through the same routing function. Mutually
+	// exclusive with ServerAddr.
 	ClusterAddr string
 	// Speedup divides recorded offsets so long recordings replay quickly.
 	// Zero means 1.
@@ -65,8 +66,7 @@ type replayUnit struct {
 type liveReplay struct {
 	tl      *rec.Timeline
 	opts    ReplayOptions
-	addr    string
-	cluster *cluster.Client // nil outside cluster mode
+	cluster *cluster.Client // the upstream view
 	start   time.Time
 	pending *relaynet.Pending
 
@@ -109,24 +109,25 @@ func ReplayLive(tl *rec.Timeline, opts ReplayOptions) (rec.Metrics, error) {
 		lat:     rec.NewSample(),
 	}
 
-	var server *relaynet.Server
-	r.addr = opts.ServerAddr
-	switch {
-	case opts.ClusterAddr != "":
-		cc, err := cluster.NewClient(cluster.ClientConfig{RouterURL: clusterURL(opts.ClusterAddr)})
-		if err != nil {
-			return rec.Metrics{}, err
+	var err error
+	if opts.ClusterAddr != "" {
+		r.cluster, err = cluster.NewClient(cluster.ClientConfig{RouterURL: clusterURL(opts.ClusterAddr)})
+	} else {
+		addr := opts.ServerAddr
+		if addr == "" {
+			server := relaynet.NewServer()
+			if err := server.Start("127.0.0.1:0"); err != nil {
+				return rec.Metrics{}, err
+			}
+			defer server.Shutdown()
+			addr = server.Addr()
 		}
-		defer cc.Close()
-		r.cluster = cc
-	case r.addr == "":
-		server = relaynet.NewServer()
-		if err := server.Start("127.0.0.1:0"); err != nil {
-			return rec.Metrics{}, err
-		}
-		defer server.Shutdown()
-		r.addr = server.Addr()
+		r.cluster, err = cluster.NewOneNodeClient(addr)
 	}
+	if err != nil {
+		return rec.Metrics{}, err
+	}
+	defer r.cluster.Close()
 
 	// Split the send timeline into per-connection units, preserving order.
 	direct := make(map[int]*replayUnit)
@@ -216,17 +217,11 @@ func (r *liveReplay) pace(at time.Duration) {
 	}
 }
 
-// ownerAddr resolves where a client's heartbeats go: its owning shard's
-// listener in cluster mode (through the current ring view), the fixed
-// server address otherwise.
+// ownerAddr resolves where a client's heartbeats go: its owning node's
+// listener under the current view.
 func (r *liveReplay) ownerAddr(clientID string) string {
-	if r.cluster == nil {
-		return r.addr
-	}
-	if node, ok := r.cluster.View().Owner(clientID); ok {
-		return node.Addr
-	}
-	return r.addr
+	node, _ := r.cluster.View().Owner(clientID) // a view's ring owns every key
+	return node.Addr
 }
 
 // dial opens a server connection to addr, optionally through the fault
@@ -304,12 +299,11 @@ func (r *liveReplay) runDirect(u *replayUnit) {
 
 // runTrunk replays one relay/trunk group: consecutive sends within the
 // recorded coalesce window become one Batch frame, written at the last
-// member's offset — exactly the aggregation the group performed live. In
-// cluster mode each coalesced batch is partitioned per owning shard under
-// one ring view (one connection per shard), the same split the live trunk
-// performs.
+// member's offset — exactly the aggregation the group performed live. Each
+// coalesced batch is partitioned per owning node under one view (one
+// connection per node), the same split the live trunk performs.
 func (r *liveReplay) runTrunk(u *replayUnit) {
-	conns := make(map[string]net.Conn) // shard ID → conn; "" single-server
+	conns := make(map[string]net.Conn) // node ID → conn
 	for i := 0; i < len(u.sends); {
 		// The batch is [i, j): recorded gaps ≤ Coalesce, bounded by the
 		// trace's relay capacity when one is recorded.
@@ -321,25 +315,18 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 			j++
 		}
 		r.pace(u.sends[j-1].At)
-		if r.cluster == nil {
-			r.sendTrunkBatch(conns, u, "", r.addr, u.sends[i:j])
-		} else {
-			view := r.cluster.View()
-			keys := make([]string, j-i)
-			for k, e := range u.sends[i:j] {
-				keys[k] = r.tl.Clients[e.Client].ID
+		view := r.cluster.View()
+		keys := make([]string, j-i)
+		for k, e := range u.sends[i:j] {
+			keys[k] = r.tl.Clients[e.Client].ID
+		}
+		for _, g := range view.Ring().GroupSorted(keys) {
+			sub := make([]rec.Event, len(g.Idxs))
+			for k, idx := range g.Idxs {
+				sub[k] = u.sends[i+idx]
 			}
-			for _, g := range view.Ring().GroupSorted(keys) {
-				sub := make([]rec.Event, len(g.Idxs))
-				for k, idx := range g.Idxs {
-					sub[k] = u.sends[i+idx]
-				}
-				addr := r.addr
-				if node, ok := view.Config.Node(g.Shard); ok {
-					addr = node.Addr
-				}
-				r.sendTrunkBatch(conns, u, g.Shard, addr, sub)
-			}
+			node, _ := view.Config.Node(g.Shard) // the ring's shards are the config's nodes
+			r.sendTrunkBatch(conns, u, g.Shard, node.Addr, sub)
 		}
 		i = j
 	}
@@ -348,8 +335,8 @@ func (r *liveReplay) runTrunk(u *replayUnit) {
 	}
 }
 
-// sendTrunkBatch writes one (shard-local) Batch frame on the group's
-// cached connection to that shard, redialing once per batch if needed.
+// sendTrunkBatch writes one (node-local) Batch frame on the group's
+// cached connection to that node, redialing once per batch if needed.
 func (r *liveReplay) sendTrunkBatch(conns map[string]net.Conn, u *replayUnit, shard, addr string, events []rec.Event) {
 	conn := conns[shard]
 	if conn == nil {

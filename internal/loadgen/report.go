@@ -72,8 +72,8 @@ type Report struct {
 	WriteErrors     uint64 `json:"writeErrors"`
 	OutOfOrderAcks  uint64 `json:"outOfOrderAcks"`
 	// FallbackResends counts relayed heartbeats re-sent directly to their
-	// owning shard after the relay path missed the ack window (cluster
-	// mode). A resend that gets acked keeps the heartbeat out of Timeouts.
+	// owning node after the relay path missed the ack window. A resend
+	// that gets acked keeps the heartbeat out of Timeouts.
 	FallbackResends uint64 `json:"fallbackResends,omitempty"`
 
 	// Trunks is the trunked-fleet size (Config.Trunks); zero in socket-per-UE
@@ -175,7 +175,7 @@ func (r *Runner) snapshot(elapsed time.Duration, final bool) Report {
 			rep.ServerMetrics = d
 		}
 	}
-	if r.cluster != nil {
+	if r.cfg.ClusterAddr != "" {
 		view := r.cluster.View()
 		rep.ClusterEpoch = view.Config.Epoch
 		rep.ShardSent = r.shardSent.snapshot()

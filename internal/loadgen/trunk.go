@@ -25,18 +25,18 @@ type tuser struct {
 }
 
 // trunk multiplexes many virtual users over one hbproto relay connection
-// per target shard — the paper's aggregation argument applied to the load
+// per target node — the paper's aggregation argument applied to the load
 // generator itself, and the only way a single box offers a million users
 // (per-UE sockets exhaust ephemeral ports around a few tens of thousands
 // per destination). Every tick each user emits one heartbeat; the trunk
-// partitions them per owning shard under a single ring view and writes one
-// Batch per shard. In cluster mode a heartbeat whose ack misses the window
-// is re-sent once through the then-current view before a second miss counts
-// as a timeout, mirroring the vue fallback that keeps reshards lossless.
+// partitions them per owning node under a single view (one node for a
+// single server) and writes one Batch per node. A heartbeat whose ack
+// misses the window is re-sent once through the then-current view before a
+// second miss counts as a timeout, mirroring the vue fallback that keeps
+// reshards lossless.
 type trunk struct {
 	id      string
 	app     string
-	addr    string // single-target address; ignored in cluster mode
 	period  time.Duration
 	expiry  time.Duration
 	pad     int
@@ -46,7 +46,7 @@ type trunk struct {
 	trecIdx []int         // per-user trace client indices (immutable after build)
 	c       *fleetCounters
 	dial    func(network, addr string) (net.Conn, error)
-	cluster *cluster.Client // nil targets addr directly
+	cluster *cluster.Client // the upstream view
 	shards  *shardCounter
 	readers *sync.WaitGroup
 
@@ -63,11 +63,8 @@ type trunk struct {
 	hbScratch []hbproto.Heartbeat
 	batchMsg  hbproto.Batch
 
-	// fallback gives each heartbeat one resend through the then-current
-	// ring view when its ack misses the window (cluster mode).
-	fallback bool
-	pending  *relaynet.Pending
-	index    map[string]int // user id → index (ids are immutable after build)
+	pending *relaynet.Pending
+	index   map[string]int // user id → index (ids are immutable after build)
 
 	mu     sync.Mutex
 	users  []tuser
@@ -162,7 +159,7 @@ func (t *trunk) emit(idxs []int, now time.Time, resend []hbproto.Ref) {
 	}
 	t.mu.Unlock()
 	for _, ref := range fresh {
-		t.pending.Track(ref, nil, now, t.timeout, t.fallback)
+		t.pending.Track(ref, nil, now, t.timeout, true)
 	}
 	if len(fresh) > 0 {
 		t.send(fresh, now, false)
@@ -191,13 +188,9 @@ func paceSlot(trunkID, userID string, slots int) int {
 	return int(h % uint64(slots))
 }
 
-// send partitions heartbeats per owning shard under one ring view (so a
-// round never mixes epochs) and writes one chunked Batch per shard.
+// send partitions heartbeats per owning node under one view (so a round
+// never mixes epochs) and writes one chunked Batch per node.
 func (t *trunk) send(refs []hbproto.Ref, now time.Time, fallback bool) {
-	if t.cluster == nil {
-		t.sendShard("", refs, now, fallback)
-		return
-	}
 	view := t.cluster.View()
 	keys := make([]string, len(refs))
 	for i, ref := range refs {
@@ -212,33 +205,20 @@ func (t *trunk) send(refs []hbproto.Ref, now time.Time, fallback bool) {
 	}
 }
 
-// sendShard writes one shard's heartbeats as Batch frames, composing every
+// sendShard writes one node's heartbeats as Batch frames, composing every
 // chunk frame into one reusable buffer and issuing a single write — the
-// syscall count per emission is one per shard, not one per 4096 heartbeats.
-// Heartbeats that missed the wire stay pending when fallback is available
-// (the sweep re-sends them through a newer view) and are forgotten
-// otherwise, so a transport error is not double-counted as an ack timeout.
-// A fresh heartbeat is recorded as sent whenever the tracker keeps it.
+// syscall count per emission is one per node, not one per 4096 heartbeats.
+// Heartbeats that missed the wire stay pending: the sweep re-sends them
+// through a newer view. A fresh heartbeat is therefore recorded as sent
+// whether or not its first write landed.
 func (t *trunk) sendShard(shard string, refs []hbproto.Ref, now time.Time, fallback bool) {
-	if !t.writeShard(shard, refs, now) {
-		if !t.fallback {
-			kept := refs[:0:0]
-			for _, ref := range refs {
-				if !t.pending.Forget(ref) {
-					kept = append(kept, ref) // an ack already settled it
-				}
-			}
-			refs = kept
-		}
-	} else {
+	if t.writeShard(shard, refs, now) {
 		if fallback {
 			t.c.fallbackResends.Add(uint64(len(refs)))
 		} else {
 			t.c.sentRelayed.Add(uint64(len(refs)))
 		}
-		if shard != "" {
-			t.shards.add(shard, uint64(len(refs)))
-		}
+		t.shards.add(shard, uint64(len(refs)))
 	}
 	if !fallback {
 		for _, ref := range refs {
@@ -248,7 +228,7 @@ func (t *trunk) sendShard(shard string, refs []hbproto.Ref, now time.Time, fallb
 }
 
 // writeShard encodes refs as chunked Batch frames and writes them in one
-// call on the shard's connection, counting a failed dial or write. A failed
+// call on the node's connection, counting a failed dial or write. A failed
 // write drops the connection; an encode failure is a bug, not a transport
 // fault, so it leaves the (healthy) connection alone.
 func (t *trunk) writeShard(shard string, refs []hbproto.Ref, now time.Time) bool {
@@ -331,9 +311,9 @@ func (t *trunk) sweep(now time.Time) {
 	}
 }
 
-// ensureConn returns the live connection for a shard, resolving the
-// address through the current cluster config and registering as a relay
-// when dialing fresh.
+// ensureConn returns the live connection for a node, resolving the
+// address through the current view and registering as a relay when
+// dialing fresh.
 func (t *trunk) ensureConn(shard string) net.Conn {
 	t.mu.Lock()
 	if t.closed {
@@ -346,15 +326,11 @@ func (t *trunk) ensureConn(shard string) net.Conn {
 	}
 	t.mu.Unlock()
 
-	addr := t.addr
-	if t.cluster != nil {
-		node, ok := t.cluster.View().Config.Node(shard)
-		if !ok {
-			return nil
-		}
-		addr = node.Addr
+	node, ok := t.cluster.View().Config.Node(shard)
+	if !ok {
+		return nil // evicted since the round's view was taken
 	}
-	conn, err := t.dial("tcp", addr)
+	conn, err := t.dial("tcp", node.Addr)
 	if err != nil {
 		return nil
 	}
@@ -387,7 +363,7 @@ func (t *trunk) ensureConn(shard string) net.Conn {
 	return conn
 }
 
-// dropConn forgets a shard's connection if still current and closes it.
+// dropConn forgets a node's connection if still current and closes it.
 func (t *trunk) dropConn(shard string, conn net.Conn) {
 	t.mu.Lock()
 	if t.conns[shard] == conn {
@@ -422,7 +398,7 @@ func (t *trunk) pendingCount() int { return t.pending.Len() }
 // drain).
 func (t *trunk) expireAll() { t.lost(t.pending.Drain(), time.Now()) }
 
-// close shuts every shard connection down; readers exit on the closed
+// close shuts every node connection down; readers exit on the closed
 // conns.
 func (t *trunk) close() {
 	t.mu.Lock()

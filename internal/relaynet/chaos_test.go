@@ -495,11 +495,11 @@ func TestUEFallbackRelayDiesBetweenSendAndAck(t *testing.T) {
 }
 
 // TestRelayReconnectBackoffConfigurable covers the thundering-herd fix:
-// attempts and base are taken from the config, and the seeded jitter
-// spreads backoffs across [base/2, 3·base/2).
+// the base is taken from the config, and the seeded jitter spreads
+// backoffs across [base/2, 3·base/2).
 func TestRelayReconnectBackoffConfigurable(t *testing.T) {
-	// A relay pointed at a server that immediately dies: with 2 attempts
-	// at a 30 ms base, reconnection gives up well under a second.
+	// A relay pointed at a server that immediately dies keeps redialing
+	// under a 30 ms base backoff.
 	s := NewServer()
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("server Start: %v", err)
@@ -509,7 +509,7 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	r, err := NewRelayAgent(RelayAgentConfig{
 		ID: "backoff-relay", App: "std", Period: 100 * time.Millisecond,
 		Expiry: 200 * time.Millisecond, Pad: 54, Capacity: 8,
-		ReconnectAttempts: 2, ReconnectBase: 30 * time.Millisecond, Seed: 99,
+		ReconnectBase: 30 * time.Millisecond, Seed: 99,
 	})
 	if err != nil {
 		t.Fatalf("NewRelayAgent: %v", err)
@@ -520,9 +520,10 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	t.Cleanup(r.Shutdown)
 
 	s.Shutdown() // the server vanishes for good
+	time.Sleep(300 * time.Millisecond)
 
-	// The relay exhausts its 2 attempts and stops its run loop; Shutdown
-	// must return promptly rather than hanging on a 6×50ms-doubling wait.
+	// The run loop redials at its flushes and never sleeps on a dead
+	// server, so Shutdown must return promptly.
 	done := make(chan struct{})
 	go func() {
 		r.Shutdown()
@@ -531,7 +532,7 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("relay shutdown hung during bounded reconnect")
+		t.Fatal("relay shutdown hung while the server was down")
 	}
 
 	// Seeded jitter is deterministic and stays inside ±50%.
@@ -560,8 +561,57 @@ func TestRelayReconnectBackoffConfigurable(t *testing.T) {
 	// Validation rejects negative knobs.
 	if _, err := NewRelayAgent(RelayAgentConfig{
 		ID: "x", App: "a", Period: time.Second, Expiry: time.Second, Pad: 1,
-		Capacity: 1, ReconnectAttempts: -1,
+		Capacity: 1, ReconnectBase: -1,
 	}); err == nil {
-		t.Fatal("negative reconnect attempts accepted")
+		t.Fatal("negative reconnect base accepted")
+	}
+}
+
+// TestChaosRelayOutlivesServerOutage takes the relay's only server down
+// for longer than any bounded redial budget and brings it back on the same
+// address: the relay must keep its schedule through the outage (its own
+// heartbeat still rolls every period) and resume forwarding to the
+// restarted server.
+func TestChaosRelayOutlivesServerOutage(t *testing.T) {
+	s := NewServer()
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("server Start: %v", err)
+	}
+	addr := s.Addr()
+
+	const period = 100 * time.Millisecond
+	r, err := NewRelayAgent(RelayAgentConfig{
+		ID: "outage-relay", App: "std", Period: period,
+		Expiry: 2 * period, Pad: 54, Capacity: 8,
+		ReconnectBase: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewRelayAgent: %v", err)
+	}
+	if err := r.Start("127.0.0.1:0", addr); err != nil {
+		t.Fatalf("relay Start: %v", err)
+	}
+	t.Cleanup(r.Shutdown)
+	eventually(t, 2*time.Second, func() bool { return s.Stats().Batches > 0 },
+		"relay reaches the server")
+
+	s.Shutdown()
+	const outage = 1500 * time.Millisecond
+	before := r.Stats().OwnHeartbeats
+	time.Sleep(outage)
+	if got := r.Stats().OwnHeartbeats - before; got < int(outage/period)/2 {
+		t.Fatalf("relay rolled %d periods during a %v outage, want >= %d",
+			got, outage, int(outage/period)/2)
+	}
+
+	s2 := NewServer()
+	if err := s2.Start(addr); err != nil {
+		t.Skipf("server address no longer available: %v", err)
+	}
+	t.Cleanup(s2.Shutdown)
+	eventually(t, 8*time.Second, func() bool { return s2.Stats().Batches > 0 },
+		"restarted server receives the relay's batches")
+	if st := r.Stats(); st.UpstreamReconnects == 0 {
+		t.Errorf("relay stats %+v, want an upstream reconnect", st)
 	}
 }

@@ -16,7 +16,6 @@ package relaynet
 import (
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,44 +209,6 @@ func TestClusterChaosDrainKillAndRollingRestart(t *testing.T) {
 	if st := relay.Stats(); st.Forwarded == 0 {
 		t.Errorf("relay forwarded nothing: %+v", st)
 	}
-}
-
-// TestRelayReconnectReResolvesServer is the regression for the reconnect
-// fix: a relay whose server moves must redial the address the resolver
-// currently reports, not the one it first connected to.
-func TestRelayReconnectReResolvesServer(t *testing.T) {
-	oldSrv := startServer(t)
-	newSrv := startServer(t)
-
-	var target atomic.Value
-	target.Store(oldSrv.Addr())
-	relay, err := NewRelayAgent(RelayAgentConfig{
-		ID: "relay-rr", App: "im", Period: 60 * time.Millisecond,
-		Expiry: 400 * time.Millisecond, Capacity: 8,
-		ReconnectAttempts: 20, ReconnectBase: 10 * time.Millisecond,
-		ResolveServer: func() (string, error) { return target.Load().(string), nil },
-	})
-	if err != nil {
-		t.Fatalf("NewRelayAgent: %v", err)
-	}
-	if err := relay.Start("127.0.0.1:0", ""); err != nil {
-		t.Fatalf("relay Start: %v", err)
-	}
-	defer relay.Shutdown()
-
-	eventually(t, 2*time.Second, func() bool {
-		return oldSrv.Stats().Batches > 0
-	}, "relay reaches the original server")
-
-	// The server "moves": the old address dies and the resolver starts
-	// reporting the new one. Without per-attempt re-resolution the relay
-	// would burn every reconnect attempt on the dead address.
-	target.Store(newSrv.Addr())
-	oldSrv.Shutdown()
-
-	eventually(t, 3*time.Second, func() bool {
-		return newSrv.Stats().Batches > 0
-	}, "relay reconnects to the re-resolved server address")
 }
 
 // TestServerCountsMisroutedFrames checks the shard-side routing audit: a

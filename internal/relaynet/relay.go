@@ -39,31 +39,22 @@ type RelayAgentConfig struct {
 	// Listen overrides the UE-side listener construction; nil selects
 	// net.Listen. Fault-injection hook.
 	Listen func(network, addr string) (net.Listener, error)
-	// ReconnectAttempts bounds upstream redial attempts after the server
-	// connection breaks (single-server mode). Zero selects 6.
-	ReconnectAttempts int
-	// ReconnectBase is the initial redial backoff, doubled per attempt
-	// with ±50% seeded jitter so relay fleets losing the same server do
-	// not stampede it in lockstep.  Cluster mode uses the same base for
-	// its per-shard backoff. Zero selects 50 ms.
+	// ReconnectBase is the initial upstream redial backoff, doubled per
+	// failed dial up to maxShardBackoff with ±50% seeded jitter so relay
+	// fleets losing the same server do not stampede it in lockstep. Zero
+	// selects 50 ms.
 	ReconnectBase time.Duration
 	// Seed seeds the backoff jitter RNG; zero derives a seed from ID, so
 	// distinct relays jitter differently by default.
 	Seed int64
-	// Cluster switches the relay to sharded fanout: every flushed batch is
-	// partitioned by the client's current ring epoch and each sub-batch
-	// goes to the owning presence shard over a lazily-dialed per-shard
-	// connection. The serverAddr argument to Start is ignored. A shard
-	// that cannot be reached costs only its own sub-batch (the affected
-	// UEs recover through the feedback-timeout fallback); the relay never
-	// blocks its scheduling loop on a dead shard.
+	// Cluster is the upstream view: every flushed batch is partitioned by
+	// the client's current ring epoch and each sub-batch goes to its
+	// owning presence node over a per-node connection. Nil selects a
+	// one-node view of the serverAddr passed to Start. A node that cannot
+	// be reached costs only its own sub-batch (the affected UEs recover
+	// through the feedback-timeout fallback); the relay never blocks its
+	// scheduling loop on a dead node.
 	Cluster *cluster.Client
-	// ResolveServer, when non-nil, re-resolves the upstream server address
-	// before the initial dial and again on every reconnect attempt —
-	// without it a relay redials the address it first connected to even
-	// after the cluster moved or restarted that server elsewhere.
-	// Single-server mode only (cluster mode resolves through the ring).
-	ResolveServer func() (string, error)
 	// Telemetry registers the agent's runtime metrics (batch sizes,
 	// collect-to-flush latency, reconnect attempts, scheduler occupancy
 	// and deadline slack) in the given registry. Nil disables telemetry.
@@ -80,12 +71,8 @@ func (c RelayAgentConfig) validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("relaynet: capacity must be positive, got %d", c.Capacity)
 	}
-	if c.ReconnectAttempts < 0 || c.ReconnectBase < 0 {
-		return fmt.Errorf("relaynet: negative reconnect attempts/base (%d/%v)",
-			c.ReconnectAttempts, c.ReconnectBase)
-	}
-	if c.Cluster != nil && c.ResolveServer != nil {
-		return errors.New("relaynet: Cluster and ResolveServer are mutually exclusive")
+	if c.ReconnectBase < 0 {
+		return fmt.Errorf("relaynet: negative reconnect base %v", c.ReconnectBase)
 	}
 	return nil
 }
@@ -118,11 +105,11 @@ type RelayAgentStats struct {
 	FeedbacksSent      int
 	Credits            int
 	UpstreamReconnects int
-	// ShardDials counts successful upstream dials in cluster mode
-	// (including each shard's first).
+	// ShardDials counts successful upstream dials (including each node's
+	// first).
 	ShardDials int
 	// DroppedNoShard counts heartbeats abandoned because their owning
-	// shard was unreachable (or in dial backoff) at flush time. The UEs
+	// node was unreachable (or in dial backoff) at flush time. The UEs
 	// recover through the feedback-timeout fallback.
 	DroppedNoShard int
 	// FeedbackWritesSaved counts UE feedback writes avoided by merging
@@ -146,37 +133,35 @@ type relayEvent struct {
 	ueClosed *ueConn
 	ack      *hbproto.Ack
 	upErr    error
-	// upShard and upConn attribute an upstream error to the shard
-	// connection it broke (upShard is singleShard outside cluster mode),
-	// so the run loop can ignore errors from connections it has already
-	// replaced.
+	// upShard and upConn attribute an upstream error to the node
+	// connection it broke, so the run loop can ignore errors from
+	// connections it has already replaced.
 	upShard string
 	upConn  net.Conn
 }
 
-// singleShard keys the upstream map in single-server mode.
-const singleShard = ""
-
-// RelayAgent collects heartbeats from UE connections and forwards them to
-// the server in aggregated batches under the Algorithm 1 schedule, sending
-// feedback to each UE once the server acknowledges the batch. In cluster
-// mode the flush fans out per owning shard instead of using one upstream.
+// RelayAgent collects heartbeats from UE connections and forwards them
+// upstream in aggregated batches under the Algorithm 1 schedule, sending
+// feedback to each UE once the server acknowledges the batch. Every flush
+// fans out per owning node of the upstream view: one node for a single
+// server, the ring's shards for a presence cluster.
 type RelayAgent struct {
 	cfg RelayAgentConfig
 
-	mu         sync.Mutex
-	ln         net.Listener
-	upConns    map[net.Conn]struct{} // live upstream conns, for Shutdown
-	serverAddr string                // last known single-server address
-	started    bool
-	closed     bool
-	stats      RelayAgentStats
+	mu      sync.Mutex
+	ln      net.Listener
+	upConns map[net.Conn]struct{} // live upstream conns, for Shutdown
+	started bool
+	closed  bool
+	stats   RelayAgentStats
 
 	events chan relayEvent
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	// main-loop state (owned by run goroutine)
+	// main-loop state (owned by run goroutine; Start sets it up before
+	// the goroutine runs)
+	upstream  *cluster.Client // the view every flush routes through
 	policy    *sched.Nagle
 	start     time.Time
 	periodEnd time.Duration // policy time at which the current period ends
@@ -185,10 +170,10 @@ type RelayAgent struct {
 	sources   map[hbproto.Ref]*ueConn
 	ueConns   map[*ueConn]struct{}
 	rng       *rand.Rand // backoff jitter; owned by run goroutine
-	// ups maps shard ID -> live upstream connection (singleShard key in
-	// single-server mode). downUntil/backoffCur arm the per-shard redial
-	// backoff so flush never hammers a dead shard, and everDialed
-	// distinguishes a reconnect from a shard's first dial in the stats.
+	// ups maps node ID -> live upstream connection. downUntil/backoffCur
+	// arm the per-node redial backoff so flush never hammers a dead node,
+	// and everDialed distinguishes a reconnect from a node's first dial in
+	// the stats.
 	ups        map[string]net.Conn
 	downUntil  map[string]time.Duration
 	backoffCur map[string]time.Duration
@@ -306,8 +291,10 @@ func (r *RelayAgent) register(conn net.Conn) error {
 	})
 }
 
-// trackUp registers a live upstream conn for Shutdown; false means the
-// agent is already closing and the caller must discard the conn.
+// trackUp registers a live upstream conn for Shutdown and reserves its
+// reader's slot in r.wg under the same lock, so a Shutdown racing Start
+// never waits on a group it has not seen grow. False means the agent is
+// already closing and the caller must discard the conn.
 func (r *RelayAgent) trackUp(conn net.Conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -315,6 +302,7 @@ func (r *RelayAgent) trackUp(conn net.Conn) bool {
 		return false
 	}
 	r.upConns[conn] = struct{}{}
+	r.wg.Add(1)
 	return true
 }
 
@@ -326,10 +314,12 @@ func (r *RelayAgent) untrackUp(conn net.Conn) {
 	r.mu.Unlock()
 }
 
-// Start listens for UE connections on listenAddr and, in single-server
-// mode, connects upstream to the server (serverAddr, or whatever
-// ResolveServer returns). In cluster mode serverAddr is ignored: per-shard
-// connections are dialed lazily at the first flush toward each shard.
+// Start listens for UE connections on listenAddr and connects upstream.
+// Without a configured Cluster, serverAddr is the one presence server and
+// the relay routes through a one-node view of it; with one, serverAddr
+// must be empty. Start dials every node of the initial view and fails when
+// none answers; a node lost later is redialed at flush time under its own
+// backoff.
 //
 // The listen/dial/register sequence runs outside r.mu: these calls block
 // on the network, and holding the agent lock across them would stall
@@ -337,13 +327,22 @@ func (r *RelayAgent) untrackUp(conn net.Conn) {
 // unreachable. The started flag reserves the slot up front so a
 // concurrent Start fails fast instead of racing the setup.
 func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
+	up := r.cfg.Cluster
+	if up != nil && serverAddr != "" {
+		return errors.New("relaynet: Cluster and serverAddr are mutually exclusive")
+	}
+	if up == nil {
+		var err error
+		if up, err = cluster.NewOneNodeClient(serverAddr); err != nil {
+			return fmt.Errorf("relaynet: relay server address: %w", err)
+		}
+	}
 	r.mu.Lock()
 	if r.started {
 		r.mu.Unlock()
 		return errors.New("relaynet: relay already started")
 	}
 	r.started = true
-	r.serverAddr = serverAddr
 	r.mu.Unlock()
 
 	fail := func(err error) error {
@@ -357,69 +356,39 @@ func (r *RelayAgent) Start(listenAddr, serverAddr string) error {
 		return fail(fmt.Errorf("relaynet: relay listen: %w", err))
 	}
 
-	var up net.Conn
-	if r.cfg.Cluster == nil {
-		addr := r.resolveServerAddr()
-		if addr == "" {
-			_ = ln.Close()
-			return fail(errors.New("relaynet: no server address (set serverAddr or ResolveServer)"))
+	// The clock origin precedes the first dial: shardConn stamps backoff
+	// deadlines in policy time.
+	r.upstream, r.start = up, time.Now()
+	view := up.View()
+	reached := 0
+	for _, n := range view.Config.Nodes {
+		if r.shardConn(n.ID, view) != nil {
+			reached++
 		}
-		up, err = r.cfg.dial("tcp", addr)
-		if err != nil {
-			_ = ln.Close()
-			return fail(fmt.Errorf("relaynet: relay dial server: %w", err))
-		}
-		if err := r.register(up); err != nil {
-			_ = ln.Close()
-			_ = up.Close()
-			return fail(fmt.Errorf("relaynet: relay register: %w", err))
-		}
+	}
+	if reached == 0 {
+		_ = ln.Close()
+		// A retried Start must dial at once, not wait out this one's backoff.
+		clear(r.downUntil)
+		clear(r.backoffCur)
+		return fail(fmt.Errorf("relaynet: relay reaches no upstream node of %v", view.Config.IDs()))
 	}
 
 	r.mu.Lock()
 	if r.closed {
-		// Shutdown ran while we were dialing: it saw started=true but had
-		// no connections to close, so close them here.
+		// Shutdown ran while we were dialing: it closed the upstream conns
+		// it saw but not the listener it could not see, so close it here.
 		r.mu.Unlock()
 		_ = ln.Close()
-		if up != nil {
-			_ = up.Close()
-		}
 		return errors.New("relaynet: relay shut down during start")
 	}
 	r.ln = ln
-	if up != nil {
-		r.upConns[up] = struct{}{}
-		r.ups[singleShard] = up
-		r.everDialed[singleShard] = true
-	}
 	r.wg.Add(2)
 	r.mu.Unlock()
 
 	go r.acceptLoop()
 	go r.run()
-	if up != nil {
-		r.wg.Add(1)
-		go r.upstreamReader(up, singleShard)
-	}
 	return nil
-}
-
-// resolveServerAddr returns the current single-server target, invoking the
-// ResolveServer hook when configured so every (re)connect targets whatever
-// the router currently advertises, not the address the relay first saw.
-func (r *RelayAgent) resolveServerAddr() string {
-	if r.cfg.ResolveServer != nil {
-		if a, err := r.cfg.ResolveServer(); err == nil && a != "" {
-			r.mu.Lock()
-			r.serverAddr = a
-			r.mu.Unlock()
-			return a
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.serverAddr
 }
 
 // Addr returns the UE-side listening address.
@@ -567,16 +536,12 @@ func (r *RelayAgent) upstreamReader(conn net.Conn, shard string) {
 	}
 }
 
-// Default upstream reconnect policy: attempts bound the dial retries after
-// the server connection breaks; backoff doubles from the base per attempt.
+// Upstream redial policy: the backoff doubles from the base per failed
+// dial. Dials are retried at every flush for as long as a node stays down,
+// so the backoff needs a ceiling rather than an attempt budget.
 const (
-	defaultReconnectAttempts = 6
-	defaultReconnectBase     = 50 * time.Millisecond
-	// maxShardBackoff caps the per-shard redial backoff in cluster mode:
-	// unlike the bounded single-server retry loop, shard dials are retried
-	// at every flush forever, so the backoff needs a ceiling rather than
-	// an attempt budget.
-	maxShardBackoff = 5 * time.Second
+	defaultReconnectBase = 50 * time.Millisecond
+	maxShardBackoff      = 5 * time.Second
 )
 
 // reconnectBase resolves the configured backoff base.
@@ -594,62 +559,7 @@ func (r *RelayAgent) jittered(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.5 + r.rng.Float64()))
 }
 
-// reconnectUpstream re-establishes the single-server connection after a
-// break, re-resolving the target through ResolveServer on every attempt.
-// Batches awaiting acknowledgement are abandoned: their UEs recover through
-// the feedback-timeout fallback, exactly as with a dead relay.
-func (r *RelayAgent) reconnectUpstream() bool {
-	if old, ok := r.ups[singleShard]; ok {
-		delete(r.ups, singleShard)
-		_ = old.Close()
-	}
-	attempts := r.cfg.ReconnectAttempts
-	if attempts == 0 {
-		attempts = defaultReconnectAttempts
-	}
-	backoff := r.reconnectBase()
-	for attempt := 0; attempt < attempts; attempt++ {
-		if r.isClosed() {
-			return false
-		}
-		r.ins.reconnectTries.Inc()
-		conn, err := r.cfg.dial("tcp", r.resolveServerAddr())
-		if err == nil {
-			err = r.register(conn)
-		}
-		if err == nil {
-			if !r.trackUp(conn) {
-				_ = conn.Close()
-				return false
-			}
-			r.ins.reconnects.Inc()
-			r.ups[singleShard] = conn
-			r.mu.Lock()
-			r.stats.UpstreamReconnects++
-			r.mu.Unlock()
-			r.wg.Add(1)
-			go r.upstreamReader(conn, singleShard)
-			return true
-		}
-		if conn != nil {
-			_ = conn.Close()
-		}
-		// A reusable timer instead of time.After: under a long outage this
-		// loop runs for many attempts, and per-iteration After timers pile
-		// up uncollectable until they fire.
-		t := time.NewTimer(r.jittered(backoff))
-		select {
-		case <-r.done:
-			t.Stop()
-			return false
-		case <-t.C:
-		}
-		backoff *= 2
-	}
-	return false
-}
-
-// armShardBackoff schedules the next allowed dial for a shard after a
+// armShardBackoff schedules the next allowed dial for a node after a
 // failure, doubling up to maxShardBackoff.
 func (r *RelayAgent) armShardBackoff(shard string, now time.Duration) {
 	b := r.backoffCur[shard]
@@ -663,8 +573,8 @@ func (r *RelayAgent) armShardBackoff(shard string, now time.Duration) {
 	r.backoffCur[shard] = b
 }
 
-// shardConn returns the live connection to a shard, dialing it if absent
-// and not in backoff. A failed dial arms the shard's backoff and returns
+// shardConn returns the live connection to a node, dialing it if absent
+// and not in backoff. A failed dial arms the node's backoff and returns
 // nil — the caller drops that sub-batch and the scheduling loop moves on.
 func (r *RelayAgent) shardConn(shard string, view *cluster.View) net.Conn {
 	if conn, ok := r.ups[shard]; ok {
@@ -705,12 +615,11 @@ func (r *RelayAgent) shardConn(shard string, view *cluster.View) net.Conn {
 	}
 	r.mu.Unlock()
 	r.everDialed[shard] = true
-	r.wg.Add(1)
 	go r.upstreamReader(conn, shard)
 	return conn
 }
 
-// dropShardConn retires a shard connection the reader reported broken,
+// dropShardConn retires a node connection the reader reported broken,
 // unless flush already replaced it (stale error from a conn this loop has
 // moved past).
 func (r *RelayAgent) dropShardConn(shard string, conn net.Conn) {
@@ -729,7 +638,6 @@ func (r *RelayAgent) now() time.Duration { return time.Since(r.start) }
 // run is the single goroutine owning the scheduling state.
 func (r *RelayAgent) run() {
 	defer r.wg.Done()
-	r.start = time.Now()
 	r.startPeriod()
 
 	// One timer serves both Algorithm 1 deadlines: it is armed at
@@ -758,12 +666,10 @@ func (r *RelayAgent) run() {
 		case ev := <-r.events:
 			// Drain whatever else is already queued (bounded) before
 			// flushing feedback, so refs from several acks — one per
-			// shard in cluster mode — merge into one Feedback frame per
-			// UE instead of one write per ack.
+			// upstream node — merge into one Feedback frame per UE
+			// instead of one write per ack.
 			for n := 0; ; n++ {
-				if !r.handleEvent(ev, timer) {
-					return
-				}
+				r.handleEvent(ev, timer)
 				if n >= maxEventDrain {
 					break
 				}
@@ -779,9 +685,8 @@ func (r *RelayAgent) run() {
 	}
 }
 
-// handleEvent dispatches one main-loop event; false means the agent must
-// stop (single upstream unrecoverable).
-func (r *RelayAgent) handleEvent(ev relayEvent, timer *time.Timer) bool {
+// handleEvent dispatches one main-loop event.
+func (r *RelayAgent) handleEvent(ev relayEvent, timer *time.Timer) {
 	switch {
 	case ev.ueMsg != nil:
 		r.handleUE(ev.ueFrom, ev.ueMsg)
@@ -792,19 +697,11 @@ func (r *RelayAgent) handleEvent(ev relayEvent, timer *time.Timer) bool {
 	case ev.ack != nil:
 		r.handleAck(ev.ack)
 	case ev.upErr != nil:
-		if r.cfg.Cluster != nil {
-			// A shard broke: retire its connection and back off. The
-			// next flush redials; meanwhile the other shards keep their
-			// schedule — a cluster relay never blocks its run loop on
-			// one dead shard.
-			r.dropShardConn(ev.upShard, ev.upConn)
-			return true
-		}
-		// Single upstream broke: try to reconnect; if the server stays
-		// unreachable, stop scheduling and let UEs fall back.
-		return r.reconnectUpstream()
+		// An upstream node broke: retire its connection and back off. The
+		// next flush redials; meanwhile the run loop keeps its schedule —
+		// it never blocks on a dead node.
+		r.dropShardConn(ev.upShard, ev.upConn)
 	}
-	return true
 }
 
 // armTimer points the run loop's timer at min(policy deadline, period
@@ -890,10 +787,10 @@ func (r *RelayAgent) collect(uc *ueConn, m *hbproto.Heartbeat) {
 	}
 }
 
-// flush transmits the batch plus the relay's own heartbeat upstream. In
-// cluster mode the batch is partitioned by the current ring epoch and each
-// sub-batch goes to its owning shard; exactly one View is captured per
-// flush, so a batch never mixes two epochs.
+// flush transmits the batch plus the relay's own heartbeat upstream. The
+// batch is partitioned by the current view and each sub-batch goes to its
+// owning node; exactly one View is captured per flush, so a batch never
+// mixes two epochs.
 func (r *RelayAgent) flush() {
 	now := r.now()
 	batch := r.policy.Flush(now)
@@ -921,36 +818,29 @@ func (r *RelayAgent) flush() {
 	}
 
 	flushed := false
-	if r.cfg.Cluster == nil {
-		conn, ok := r.ups[singleShard]
-		if ok && r.sendBatch(conn, singleShard, hbs) {
-			flushed = true
+	view := r.upstream.View()
+	keys := make([]string, len(hbs))
+	for i := range hbs {
+		keys[i] = hbs[i].Src
+	}
+	for _, g := range view.Ring().GroupSorted(keys) {
+		shard := g.Shard
+		sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
+		for _, i := range g.Idxs {
+			sub = append(sub, hbs[i])
 		}
-	} else {
-		view := r.cfg.Cluster.View()
-		keys := make([]string, len(hbs))
-		for i := range hbs {
-			keys[i] = hbs[i].Src
-		}
-		for _, g := range view.Ring().GroupSorted(keys) {
-			shard := g.Shard
-			sub := make([]hbproto.Heartbeat, 0, len(g.Idxs))
-			for _, i := range g.Idxs {
-				sub = append(sub, hbs[i])
+		conn := r.shardConn(shard, view)
+		if conn == nil || !r.sendBatch(conn, shard, sub) {
+			if conn != nil {
+				r.dropShardConn(shard, conn)
 			}
-			conn := r.shardConn(shard, view)
-			if conn == nil || !r.sendBatch(conn, shard, sub) {
-				if conn != nil {
-					r.dropShardConn(shard, conn)
-				}
-				r.ins.shardDrops.Add(uint64(len(sub)))
-				r.mu.Lock()
-				r.stats.DroppedNoShard += len(sub)
-				r.mu.Unlock()
-				continue
-			}
-			flushed = true
+			r.ins.shardDrops.Add(uint64(len(sub)))
+			r.mu.Lock()
+			r.stats.DroppedNoShard += len(sub)
+			r.mu.Unlock()
+			continue
 		}
+		flushed = true
 	}
 	if flushed {
 		r.mu.Lock()
@@ -994,7 +884,7 @@ func (r *RelayAgent) sendBatch(conn net.Conn, shard string, hbs []hbproto.Heartb
 
 // handleAck resolves the server's acknowledgement into per-UE feedback
 // refs, accumulated in pendingFB until the run loop's event drain ends.
-// Acks from every shard funnel through the same path: the refs identify
+// Acks from every node funnel through the same path: the refs identify
 // their UEs regardless of which upstream carried the batch, and refs from
 // several acks merge into one Feedback frame per UE (the saved writes are
 // counted).

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"d2dhb/internal/cluster"
 	"d2dhb/internal/hbproto"
 	"d2dhb/internal/trace"
 )
@@ -362,6 +363,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewRelayAgent(RelayAgentConfig{ID: "r", Period: time.Second, Expiry: time.Second}); err == nil {
 		t.Fatal("zero capacity accepted")
+	}
+	// A relay routes through its Cluster view or one server, never both.
+	cc, err := cluster.NewOneNodeClient("127.0.0.1:1")
+	if err != nil {
+		t.Fatalf("NewOneNodeClient: %v", err)
+	}
+	r, err := NewRelayAgent(RelayAgentConfig{
+		ID: "r", App: "a", Period: time.Second, Expiry: time.Second, Capacity: 1, Cluster: cc,
+	})
+	if err != nil {
+		t.Fatalf("NewRelayAgent: %v", err)
+	}
+	if err := r.Start("127.0.0.1:0", "127.0.0.1:2"); err == nil {
+		r.Shutdown()
+		t.Fatal("relay Start accepted both Cluster and serverAddr")
+	}
+	if r.Addr() != "" {
+		t.Fatal("rejected Start left a listener behind")
 	}
 	if _, err := NewUEClient(UEClientConfig{}); err == nil {
 		t.Fatal("empty ue config accepted")
